@@ -5,12 +5,17 @@ each repeated degree+1 times) built by knot averaging, so fitted curves
 interpolate their end points. Basis functions follow the two-term
 recursion with the 0/0 -> 0 convention; the degree-0 indicator is closed
 on the right at the evaluation-domain end t_(m-p) so curves are defined
-at their last parameter.
+at their last parameter. All evaluation is one batched kernel (span
+search and triangular recursion, The NURBS Book A2.2) of elementwise
+array operations, so a result does not depend on its batch; the
+recursive ``basis`` is the reference it is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,27 +124,22 @@ def basis(i: int, p: int, t: float, kv: KnotVector) -> float:
     return _cox_de_boor(i, p, float(t), knots, t_close)
 
 
-def _find_span(knots: np.ndarray, p: int, t: float) -> int:
-    """Index of the knot span containing t (last nonempty span at the right end)."""
-    m = knots.size - 1
-    if t >= knots[m - p]:
-        span = m - p - 1
-        while span > p and knots[span] == knots[span + 1]:
-            span -= 1
-        return span
-    span = int(np.searchsorted(knots, t, side="right")) - 1
-    return max(span, p)
+def _find_spans(knots: np.ndarray, p: int, ts: np.ndarray) -> np.ndarray:
+    """Knot-span index of each domain parameter (the last nonempty span at the right end)."""
+    hi = knots[knots.size - 1 - p]
+    right_end = np.searchsorted(knots, hi)  # one past the last knot below hi
+    return np.where(ts < hi, np.searchsorted(knots, ts, side="right"), right_end) - 1
 
 
-def _basis_row(knots: np.ndarray, p: int, t: float, span: int) -> np.ndarray:
-    """The p+1 nonzero basis values B_(span-p..span, p)(t)."""
-    N = np.empty(p + 1)
+def _basis_funs(knots: np.ndarray, p: int, ts: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The p+1 nonzero basis values: row k holds B_(s-p+k, p)(t) for each t and its span s."""
+    N = np.empty((p + 1, ts.size))
     N[0] = 1.0
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
+    left = np.empty((p + 1, ts.size))
+    right = np.empty((p + 1, ts.size))
     for j in range(1, p + 1):
-        left[j] = t - knots[span + 1 - j]
-        right[j] = knots[span + j] - t
+        left[j] = ts - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - ts
         saved = 0.0
         for r in range(j):
             tmp = N[r] / (right[r + 1] + left[j - r])
@@ -184,39 +184,62 @@ class BSplineCurve:
     def domain(self) -> tuple[float, float]:
         return self.knots.domain
 
+    @cached_property
+    def derivative(self) -> BSplineCurve:
+        """The hodograph C'(t): degree p-1 on the inner knots (the zero curve for p = 0)."""
+        p, cp, knots = self.degree, self.control_points, self.knots.knots
+        if p == 0:
+            return BSplineCurve(np.zeros_like(cp), self.knots)
+        width = (knots[p + 1:-1] - knots[1:cp.shape[0]])[:, None]
+        diff = p * np.diff(cp, axis=0)
+        ctrl = np.divide(diff, width, out=np.zeros_like(diff), where=width > 0)
+        return BSplineCurve(ctrl, KnotVector(knots[1:-1], p - 1))
+
+    @cached_property
+    def power_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, first, coef) of each nonempty knot span s, computed once per curve.
+
+        On s, C(t) = sum_k coef[s, k] x^k with x = (t - lo[s]) / (hi[s] - lo[s]),
+        and first[s] is the first of its p+1 control points. The coefficients
+        are Taylor terms C^(k)(lo) (hi - lo)^k / k! from the hodographs.
+        """
+        p, knots = self.degree, self.knots.knots
+        s = p + np.flatnonzero(np.diff(knots)[p:self.knots.m - p] > 0)
+        lo, hi = knots[s], knots[s + 1]
+        coef, curve = [], self
+        for k in range(p + 1):
+            coef.append(eval_curve_many(curve, lo) * ((hi - lo) ** k / math.factorial(k))[:, None])
+            curve = curve.derivative
+        return lo, hi, s - p, np.stack(coef, axis=1)
+
 
 SpatialCurve = BSplineCurve
 
 
-def _check_domain(curve: BSplineCurve, t: float) -> float:
-    lo, hi = curve.domain
-    tol = 1e-10 * max(1.0, abs(lo), abs(hi))
-    if t < lo - tol or t > hi + tol:
-        raise OutOfDomain(f"t={t} outside [{lo}, {hi}]")
-    return min(max(t, lo), hi)
-
-
 def eval_curve(curve: BSplineCurve, t: float) -> np.ndarray:
     """Point on the curve at parameter t; raises OutOfDomain outside it."""
-    t = _check_domain(curve, float(t))
-    p = curve.degree
-    knots = curve.knots.knots
-    span = _find_span(knots, p, t)
-    row = _basis_row(knots, p, t, span)
-    return row @ curve.control_points[span - p:span + 1]
+    return eval_curve_many(curve, [t])[0]
 
 
 def eval_curve_many(curve: BSplineCurve, ts: np.ndarray) -> np.ndarray:
-    """Evaluate at an array of parameters; returns an (n, dim) array."""
-    ts = np.asarray(ts, dtype=float)
-    p = curve.degree
-    knots = curve.knots.knots
-    cp = curve.control_points
-    out = np.empty((ts.size, curve.dim))
-    for k, t in enumerate(ts.ravel()):
-        t = _check_domain(curve, float(t))
-        span = _find_span(knots, p, t)
-        out[k] = _basis_row(knots, p, t, span) @ cp[span - p:span + 1]
+    """(n, dim) points at an array of parameters.
+
+    Parameters within 1e-10 (relative) of the domain are clamped into it;
+    any other, NaN included, raises OutOfDomain.
+    """
+    ts = np.asarray(ts, dtype=float).ravel()
+    lo, hi = curve.domain
+    tol = 1e-10 * max(1.0, abs(lo), abs(hi))
+    outside = ~((ts >= lo - tol) & (ts <= hi + tol))
+    if outside.any():
+        raise OutOfDomain(f"t={ts[outside][0]} outside [{lo}, {hi}]")
+    ts = np.clip(ts, lo, hi)
+    p, cp, knots = curve.degree, curve.control_points, curve.knots.knots
+    spans = _find_spans(knots, p, ts)
+    N = _basis_funs(knots, p, ts, spans)
+    out = N[0][:, None] * cp[spans - p]
+    for k in range(1, p + 1):
+        out += N[k][:, None] * cp[spans - p + k]
     return out
 
 
@@ -226,9 +249,10 @@ def dedupe_points(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     if len(points) == 0:
         return points
     keep = [0]
-    for i in range(1, len(points)):
-        if np.linalg.norm(points[i] - points[keep[-1]]) > tol:
-            keep.append(i)
+    with np.errstate(over="ignore"):  # an overflowing gap is inf, which is kept
+        for i in range(1, len(points)):
+            if np.linalg.norm(points[i] - points[keep[-1]]) > tol:
+                keep.append(i)
     return points[keep]
 
 
@@ -236,13 +260,17 @@ def parameterize_arclength(points) -> np.ndarray:
     """Normalized cumulative chord-length parameters u in [0, 1].
 
     u_k is the prefix sum of segment lengths divided by the total length;
-    raises DegenerateCurve when the total length is <= 1e-12.
+    raises DegenerateCurve when the total length is <= 1e-12 or is not
+    finite (a non-finite vertex, or one so large the length overflows).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) < 2:
         raise DegenerateCurve("need at least two points")
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
     total = float(seg.sum())
+    if not np.isfinite(total):
+        raise DegenerateCurve("polyline length is not finite")
     if total <= 1e-12:
         raise DegenerateCurve("polyline has zero total length")
     u = np.concatenate([[0.0], np.cumsum(seg)]) / total
@@ -273,12 +301,10 @@ def fit_curve(polyline, degree: int = 3):
         raise TooFewPoints(f"need >= {degree + 1} distinct points, got {n}")
     u = parameterize_arclength(pts)
     kv = averaged_knots(u, degree)
-    knots = kv.knots
-
+    spans = _find_spans(kv.knots, degree, u)
+    cols = spans[:, None] - degree + np.arange(degree + 1)
     B = np.zeros((n, n))
-    for k, t in enumerate(u):
-        span = _find_span(knots, degree, float(t))
-        B[k, span - degree:span + 1] = _basis_row(knots, degree, float(t), span)
+    B[np.arange(n)[:, None], cols] = _basis_funs(kv.knots, degree, u, spans).T
     try:
         ctrl = np.linalg.solve(B, pts)
     except np.linalg.LinAlgError as exc:

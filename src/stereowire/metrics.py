@@ -62,22 +62,26 @@ class EpisodeMetrics:
 
 
 def discrete_frechet(P: np.ndarray, Q: np.ndarray) -> float:
-    """Discrete Frechet distance between two point sequences (iterative DP)."""
+    """Discrete Frechet distance between two point sequences.
+
+    The coupling DP is filled one anti-diagonal i + j = k at a time; min
+    and max are exact, so the result does not depend on the fill order.
+    """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     n, m = len(P), len(Q)
     # sqrt-of-squared-sums rounds identically in scalar and vector form,
     # unlike the dot-product norm, keeping the DP bit-comparable
     d = np.sqrt(np.sum((P[:, None, :] - Q[None, :, :]) ** 2, axis=2))
-    ca = np.empty((n, m))
-    ca[0, 0] = d[0, 0]
-    for j in range(1, m):
-        ca[0, j] = max(ca[0, j - 1], d[0, j])
-    for i in range(1, n):
-        ca[i, 0] = max(ca[i - 1, 0], d[i, 0])
-        for j in range(1, m):
-            ca[i, j] = max(min(ca[i - 1, j], ca[i - 1, j - 1], ca[i, j - 1]), d[i, j])
-    return float(ca[-1, -1])
+    # ca shifted by one: an inf border, -inf at the corner so ca[0, 0] = d[0, 0]
+    ca = np.full((n + 1, m + 1), np.inf)
+    ca[0, 0] = -np.inf
+    for k in range(n + m - 1):
+        i = np.arange(max(0, k - m + 1), min(n, k + 1))
+        j = k - i
+        prev = np.minimum(np.minimum(ca[i, j + 1], ca[i, j]), ca[i + 1, j])
+        ca[i + 1, j + 1] = np.maximum(prev, d[i, j])
+    return float(ca[n, m])
 
 
 def curve_metrics(pred: BSplineCurve, truth: BSplineCurve, n: int = 64) -> CurveMetrics:

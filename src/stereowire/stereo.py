@@ -1,10 +1,12 @@
 """Epipolar matching of two annotated curves and SVD triangulation.
 
 The pipeline samples view A's curve uniformly, intersects each point's
-epiline with view B's curve, keeps a monotone parameter correspondence
-(filled through missing samples by a monotone cubic Hermite interpolant),
-triangulates the matched pairs, fits a 3D cubic through them, and gates
-the result on the mean reprojection error (25 px over both views pooled).
+epiline with view B's curve exactly (per-span polynomial roots), keeps a
+monotone parameter correspondence (filled through missing samples by a
+monotone cubic Hermite interpolant), triangulates the matched pairs, fits
+a 3D cubic through them, and gates the result on the mean reprojection
+error (25 px over both views pooled). The reprojection residual is a
+point-to-curve distance found by Newton point inversion.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 from .bspline import (
     BSplineCurve,
     PlanarCurve,
-    eval_curve,
     eval_curve_many,
     fit_curve,
     sample_uniform,
@@ -32,7 +33,8 @@ from .cameras import (
 from .errors import NoMatches, NonMonotoneInput, PointAtInfinity, ZeroLine
 
 REPROJ_GATE_PX = 25.0
-DENSE_SAMPLES = 2048
+ON_LINE_PX = 1e-9
+NEWTON_STEPS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -116,51 +118,62 @@ def _edge_derivative(h0, h1, d0, d1):
 # ---------------------------------------------------------------------------
 # epiline-curve intersection
 
-def _signed_line_distances(points: np.ndarray, line: np.ndarray) -> np.ndarray:
-    return points @ line[:2] + line[2]
+def _unit_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots in [0, 1] of each f_i(x) = sum_k c[i, k] x^k, as (i, x) arrays.
+
+    Companion-matrix eigenvalues (a vanishing leading coefficient is raised
+    to ~eps of the others, sending its root far outside [0, 1]), then two
+    Newton steps kept where they shrink |f|; a root needs |f| <= ON_LINE_PX.
+    """
+    n, p = c.shape[0], c.shape[1] - 1
+    floor = np.maximum(np.finfo(float).eps * np.abs(c).max(axis=1), np.finfo(float).tiny)
+    companion = np.zeros((n, p, p))
+    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
+    companion[:, :, -1] = -c[:, :p] / np.where(np.abs(c[:, p]) > floor, c[:, p], floor)[:, None]
+    z = np.linalg.eigvals(companion).ravel()
+    near = np.abs(z.real - 0.5) < 0.5 + 1e-6
+    row, x = np.repeat(np.arange(n), p)[near], np.clip(z.real[near], 0.0, 1.0)
+    coef = c[row]
+
+    def value_and_slope(x):
+        f, df = coef[:, p], np.zeros_like(x)
+        for k in range(p - 1, -1, -1):
+            f, df = f * x + coef[:, k], df * x + f
+        return f, df
+
+    f, df = value_and_slope(x)
+    for _ in range(2):
+        x_new = np.clip(x - np.divide(f, df, out=np.zeros_like(f), where=df != 0.0), 0.0, 1.0)
+        f_new, df_new = value_and_slope(x_new)
+        better = np.abs(f_new) < np.abs(f)
+        x = np.where(better, x_new, x)
+        f = np.where(better, f_new, f)
+        df = np.where(better, df_new, df)
+    ok = np.abs(f) <= ON_LINE_PX
+    return row[ok], x[ok]
 
 
-def intersect_epiline(curve_b: PlanarCurve, line, n_dense: int = DENSE_SAMPLES,
-                      _dense_cache=None) -> list[float]:
-    """Parameters u_B where the epiline crosses the annotation spline.
+def intersect_epiline(curve_b: PlanarCurve, line) -> list[float]:
+    """Parameters u_B where the epiline crosses the annotation spline, increasing.
 
-    Densely samples the spline, locates sign changes of the signed line
-    distance, and refines each crossing by bisection until the distance is
-    below 1e-6 px. Returns roots in increasing u_B (empty list if none).
+    The line distance l.C(t) is a spline with control values l.P_i + l_2. Spans
+    whose p+1 values all lie beyond 1e-9 px on one side cannot meet the line
+    (convex hull); on the others its polynomial, from the curve's cached power
+    form, is solved exactly. Roots within 1e-9 px count, so a line through an
+    end point finds it; a root within 1e-9 of the one before is dropped.
     """
     line = np.asarray(line, dtype=float).reshape(3)
     spline = curve_b.spline
-    if _dense_cache is None:
-        ts, pts = sample_uniform(spline, n_dense)
-    else:
-        ts, pts = _dense_cache
-    d = _signed_line_distances(pts, line)
-
-    roots: list[float] = []
-    on_curve = np.flatnonzero(np.abs(d) < 1e-9)
-    roots.extend(float(ts[i]) for i in on_curve)
-    sign_change = np.flatnonzero(d[:-1] * d[1:] < 0.0)
-    for i in sign_change:
-        lo, hi = ts[i], ts[i + 1]
-        d_lo = d[i]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            d_mid = float(eval_curve(spline, mid) @ line[:2] + line[2])
-            if abs(d_mid) < 1e-6:
-                lo = hi = mid
-                break
-            if d_lo * d_mid < 0.0:
-                hi = mid
-            else:
-                lo, d_lo = mid, d_mid
-        roots.append(float(0.5 * (lo + hi)))
-
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9:
-            deduped.append(r)
-    return deduped
+    lo, hi, first, coef = spline.power_spans
+    values = spline.control_points @ line[:2] + line[2]
+    window = values[first[:, None] + np.arange(spline.degree + 1)]
+    meets = (window.min(axis=1) <= ON_LINE_PX) & (window.max(axis=1) >= -ON_LINE_PX)
+    c = coef[meets] @ line[:2]
+    c[:, 0] += line[2]
+    span, x = _unit_roots(c)
+    # exact at both span ends, so an end-point root is the end parameter
+    roots = np.sort((1.0 - x) * lo[meets][span] + x * hi[meets][span])
+    return roots[np.diff(roots, prepend=-np.inf) > 1e-9].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +207,6 @@ def match_curves(curve_a: PlanarCurve, curve_b: PlanarCurve,
     if n_samples < 4:
         raise ValueError("n_samples must be >= 4")
     u_as, pts_a = sample_uniform(curve_a, n_samples)
-    dense = sample_uniform(curve_b.spline, DENSE_SAMPLES)
 
     samples: list[tuple[float, float | None]] = []
     accepted: list[tuple[float, float]] = []
@@ -205,7 +217,7 @@ def match_curves(curve_a: PlanarCurve, curve_b: PlanarCurve,
         except ZeroLine:
             samples.append((float(u_a), MISSING))
             continue
-        roots = intersect_epiline(curve_b, line, _dense_cache=dense)
+        roots = intersect_epiline(curve_b, line)
         admissible = [r for r in roots if r >= last_ub - 1e-12]
         if not admissible:
             samples.append((float(u_a), MISSING))
@@ -272,15 +284,15 @@ def triangulate_point(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
 # ---------------------------------------------------------------------------
 # point-to-curve distance (reprojection residual)
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
 def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray,
                              n_dense: int = 1024) -> np.ndarray:
     """Distance from each point to its nearest point on the curve.
 
-    A dense presample brackets the nearest parameter; golden-section
-    refinement then converges each bracket.
+    A dense presample brackets the nearest parameter between the neighbours
+    of the closest sample; Newton steps on g(t) = C'(t).(C(t) - q) (point
+    inversion, The NURBS Book 6.1) with C', C'' from the hodographs, clamped
+    to the bracket and skipped where g' <= 0, converge it. The result never
+    exceeds the closest sample's distance.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     ts, samples = sample_uniform(curve, n_dense)
@@ -289,26 +301,15 @@ def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray,
     lo = ts[np.maximum(idx - 1, 0)]
     hi = ts[np.minimum(idx + 1, n_dense - 1)]
 
-    def dist2(t_arr):
-        p = eval_curve_many(curve, t_arr)
-        return np.sum((p - points) ** 2, axis=1)
-
-    a, b = lo.copy(), hi.copy()
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = dist2(c), dist2(d)
-    for _ in range(60):
-        take_c = fc < fd
-        b = np.where(take_c, d, b)
-        a = np.where(take_c, a, c)
-        c_new = b - _INV_PHI * (b - a)
-        d_new = a + _INV_PHI * (b - a)
-        # only one side changes per iteration; reuse the surviving value
-        fc_new = np.where(take_c, dist2(c_new), fd)
-        fd_new = np.where(take_c, fc, dist2(d_new))
-        c, d, fc, fd = c_new, d_new, fc_new, fd_new
-    t_best = 0.5 * (a + b)
-    best = np.sqrt(dist2(t_best))
+    first, second = curve.derivative, curve.derivative.derivative
+    t = ts[idx]
+    for _ in range(NEWTON_STEPS):
+        r = eval_curve_many(curve, t) - points
+        d1 = eval_curve_many(first, t)
+        g = np.sum(d1 * r, axis=1)
+        dg = np.sum(eval_curve_many(second, t) * r, axis=1) + np.sum(d1 * d1, axis=1)
+        t = np.clip(t - np.divide(g, dg, out=np.zeros_like(g), where=dg > 0.0), lo, hi)
+    best = np.sqrt(np.sum((eval_curve_many(curve, t) - points) ** 2, axis=1))
     return np.minimum(best, np.sqrt(d2[np.arange(len(points)), idx]))
 
 

@@ -5,6 +5,8 @@ from stereowire.bspline import (
     BSplineCurve,
     KnotVector,
     PlanarCurve,
+    _basis_funs,
+    _find_spans,
     basis,
     clamped_uniform_knots,
     dedupe_points,
@@ -80,6 +82,21 @@ def random_clamped_kv(rng, degree=None):
     return KnotVector(knots, p)
 
 
+def random_repeated_kv(rng, degree):
+    """Clamped knots whose interior knots repeat up to `degree` times."""
+    p = degree
+    distinct = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(1, 6))))
+    interior = np.repeat(distinct, rng.integers(1, p + 1, distinct.size))
+    return KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p)
+
+
+def kernel_params(rng, kv):
+    """Random parameters plus every knot in the domain, the right end included."""
+    lo, hi = kv.domain
+    knots = kv.knots[(kv.knots >= lo) & (kv.knots <= hi)]
+    return np.concatenate([rng.uniform(lo, hi, 40), knots, [hi]])
+
+
 # ------------------------------------------------------------- basis
 
 def test_basis_degree0_indicator():
@@ -140,6 +157,77 @@ def test_basis_nonnegative_with_local_support(rng):
                 assert v == 0.0
 
 
+# ------------------------------------------------------------- batched kernel
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_kernel_matches_recursive_basis(rng, p):
+    for _ in range(10):
+        kv = random_repeated_kv(rng, p)
+        ts = kernel_params(rng, kv)
+        spans = _find_spans(kv.knots, p, ts)
+        rows = _basis_funs(kv.knots, p, ts, spans)
+        for col, t in enumerate(ts):
+            full = np.zeros(kv.n_basis)
+            full[spans[col] - p:spans[col] + 1] = rows[:, col]
+            oracle = [basis(i, p, t, kv) for i in range(kv.n_basis)]
+            assert np.abs(full - oracle).max() < 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_eval_many_matches_de_boor_oracle(rng, p):
+    for _ in range(10):
+        kv = random_repeated_kv(rng, p)
+        curve = BSplineCurve(rng.normal(size=(kv.n_basis, 3)), kv)
+        ts = kernel_params(rng, kv)
+        got = eval_curve_many(curve, ts)
+        for t, row in zip(ts, got):
+            assert np.abs(row - de_boor_oracle(curve, t)).max() < 1e-12
+
+
+def test_eval_scalar_is_batched_bit_for_bit(rng):
+    kv = random_repeated_kv(rng, 3)
+    curve = BSplineCurve(rng.normal(size=(kv.n_basis, 2)), kv)
+    ts = kernel_params(rng, kv)
+    batch = eval_curve_many(curve, ts)
+    for t, row in zip(ts, batch):
+        assert np.array_equal(eval_curve(curve, t), eval_curve_many(curve, [t])[0])
+        assert np.array_equal(eval_curve(curve, t), row)  # independent of the batch
+
+
+def test_eval_many_out_of_domain():
+    curve = BSplineCurve(np.zeros((4, 2)), clamped_uniform_knots(4, 3))
+    for ts in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]):
+        with pytest.raises(OutOfDomain):
+            eval_curve_many(curve, np.array(ts))
+    assert eval_curve_many(curve, np.array([-1e-12, 1.0 + 1e-12])).shape == (2, 2)
+
+
+def test_derivative_matches_central_differences(rng):
+    for p in (1, 2, 3, 4):
+        kv = random_clamped_kv(rng, degree=p)
+        curve = BSplineCurve(rng.normal(size=(kv.n_basis, 3)), kv)
+        assert curve.derivative.domain == curve.domain
+        for t in rng.uniform(0.05, 0.95, 20):
+            if np.min(np.abs(kv.knots - t)) < 1e-4:
+                continue  # a knot in the stencil: one-sided derivatives differ
+            h = 1e-6
+            fd = (eval_curve(curve, t + h) - eval_curve(curve, t - h)) / (2 * h)
+            scale = 1.0 + np.abs(fd).max()
+            assert np.abs(eval_curve(curve.derivative, t) - fd).max() < 1e-5 * scale
+
+
+def test_power_spans_reproduce_the_curve(rng):
+    for p in (1, 2, 3, 5):
+        kv = random_repeated_kv(rng, p)
+        curve = BSplineCurve(rng.normal(size=(kv.n_basis, 2)), kv)
+        lo, hi, _, coef = curve.power_spans
+        for s in range(len(lo)):
+            x = rng.uniform(0.0, 1.0, 5)
+            t = lo[s] + x * (hi[s] - lo[s])
+            power = np.polynomial.polynomial.polyval(x, coef[s]).T
+            assert np.abs(power - eval_curve_many(curve, t)).max() < 1e-10
+
+
 # ------------------------------------------------------------- eval_curve
 
 def test_eval_constant_control_points(rng):
@@ -192,6 +280,19 @@ def test_arclength_collinear_spacing():
 def test_arclength_degenerate():
     with pytest.raises(DegenerateCurve):
         parameterize_arclength(np.array([[1.0, 2.0], [1.0, 2.0]]))
+
+
+def test_arclength_not_finite():
+    with pytest.raises(DegenerateCurve):
+        parameterize_arclength(np.array([[0.0, 0.0], [1e308, 0.0], [-1e308, 1.0]]))
+    with pytest.raises(DegenerateCurve):
+        parameterize_arclength(np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0]]))
+
+
+def test_fit_overflowing_vertex_is_degenerate():
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [1e308, 2.0], [3.0, 0.0], [4.0, 1.0]])
+    with pytest.raises(DegenerateCurve):
+        fit_curve(pts)
 
 
 def test_arclength_matches_prefix_sum_oracle(rng):

@@ -191,6 +191,26 @@ def test_reconstruct_single_point_annotation_fails(tmp_path):
     assert rc != 0
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_reconstruct_overflowing_annotation_single_line_error(tmp_path, capsys):
+    # 1e308 is finite, so the file parses, but the polyline length overflows
+    out = synth_dir(tmp_path)
+    ann = json.loads((out / "annotation_a.json").read_text())
+    ann["points"][3][0] = 1e308
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(ann))
+    capsys.readouterr()
+    rc = main(["reconstruct", "--camera-a", str(out / "camera_a.json"),
+               "--camera-b", str(out / "camera_b.json"),
+               "--annotations", str(bad), str(out / "annotation_b.json"),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "not finite" in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_reconstruct_swapped_cameras_corrupts_result(tmp_path):
     # Swapped camera files cannot be caught by the reprojection gate: the
     # matcher enforces epipolar consistency for whatever camera pair it is

@@ -45,6 +45,23 @@ def frechet_memo_oracle(P, Q):
         sys.setrecursionlimit(old)
 
 
+def frechet_loop_oracle(P, Q):
+    """Row-by-row double loop over the coupling table, one cell at a time."""
+    P = np.atleast_2d(np.asarray(P, float))
+    Q = np.atleast_2d(np.asarray(Q, float))
+    n, m = len(P), len(Q)
+    d = np.sqrt(np.sum((P[:, None, :] - Q[None, :, :]) ** 2, axis=2))
+    ca = np.empty((n, m))
+    ca[0, 0] = d[0, 0]
+    for j in range(1, m):
+        ca[0, j] = max(ca[0, j - 1], d[0, j])
+    for i in range(1, n):
+        ca[i, 0] = max(ca[i - 1, 0], d[i, 0])
+        for j in range(1, m):
+            ca[i, j] = max(min(ca[i - 1, j], ca[i - 1, j - 1], ca[i, j - 1]), d[i, j])
+    return float(ca[-1, -1])
+
+
 def random_sequences(rng, count=8, max_len=16, dim=3):
     out = []
     for _ in range(count):
@@ -58,6 +75,15 @@ def test_frechet_matches_memo_oracle_exactly(rng):
     for P in seqs:
         for Q in seqs:
             assert discrete_frechet(P, Q) == frechet_memo_oracle(P, Q)
+
+
+def test_frechet_wavefront_equals_double_loop(rng):
+    for _ in range(40):
+        n, m = rng.choice(np.arange(1, 90), size=2, replace=False)
+        P = np.cumsum(rng.normal(size=(n, 3)), axis=0)
+        Q = np.cumsum(rng.normal(size=(m, 3)), axis=0)
+        assert discrete_frechet(P, Q) == frechet_loop_oracle(P, Q)
+        assert discrete_frechet(Q, P) == frechet_loop_oracle(Q, P)
 
 
 def test_frechet_bounded_below_by_end_pairs(rng):

@@ -97,6 +97,71 @@ def test_intersect_circle_arc_analytic_oracle():
     assert abs(roots[1] - expect[1]) < 1e-4
 
 
+def line_through(point, angle):
+    n = np.array([np.cos(angle), np.sin(angle)])
+    return np.array([n[0], n[1], -n @ point])
+
+
+def test_intersect_line_through_end_points_returns_end_parameters(rng):
+    pc = fit_curve(np.cumsum(rng.normal(size=(20, 2)), axis=0) * 10 + 500)
+    lo, hi = pc.spline.domain
+    for angle in np.linspace(0.1, 3.0, 12):
+        for t_end in (lo, hi):
+            end = eval_curve_many(pc.spline, [t_end])[0]
+            tangent = eval_curve_many(pc.spline.derivative, [t_end])[0]
+            if abs(np.cos(angle) * tangent[0] + np.sin(angle) * tangent[1]) < 1e-3:
+                continue  # the line must cross the curve, not run along it
+            roots = intersect_epiline(pc, line_through(end, angle))
+            assert np.abs(np.array(roots) - t_end).min() < 1e-12
+
+
+def test_intersect_two_crossings_inside_one_old_dense_interval():
+    # a parabola bump crossed just below its apex: the two roots are 1e-4
+    # apart in u, so a 2048-sample scan sees no sign change between them
+    x = np.linspace(-10.0, 10.0, 41)
+    pc = fit_curve(np.column_stack([x, -x * x]))
+    line = np.array([0.0, 1.0, 1e-4])  # y = -1e-4
+    roots = intersect_epiline(pc, line)
+    assert len(roots) == 2
+    assert roots[1] - roots[0] < 1.0 / 2047
+    dist = eval_curve_many(pc.spline, roots) @ line[:2] + line[2]
+    assert np.abs(dist).max() < 1e-9
+
+
+def sign_change_roots(spline, line, dense):
+    """Roots from sign changes of the line distance on dense samples, bisected."""
+    ts, pts = dense
+    d = pts @ line[:2] + line[2]
+    i = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    lo, hi, d_lo = ts[i], ts[i + 1], d[i]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        d_mid = eval_curve_many(spline, mid) @ line[:2] + line[2]
+        left = d_lo * d_mid <= 0.0
+        hi = np.where(left, mid, hi)
+        lo, d_lo = np.where(left, lo, mid), np.where(left, d_lo, d_mid)
+    return 0.5 * (lo + hi)
+
+
+def test_intersect_matches_dense_sign_change_oracle():
+    rng = np.random.default_rng(7)
+    total = 0
+    for _ in range(12):
+        pts = np.cumsum(rng.normal(size=(int(rng.integers(6, 30)), 2)), axis=0) * 15 + 500
+        pc = fit_curve(pts)
+        dense = sample_uniform(pc.spline, 200_000)
+        for _ in range(6):
+            through = pts[rng.integers(len(pts))] + rng.normal(0.0, 5.0, 2)
+            line = line_through(through, rng.uniform(0.0, np.pi))
+            got = intersect_epiline(pc, line)
+            want = sign_change_roots(pc.spline, line, dense)
+            assert len(got) == len(want)
+            if len(want):
+                assert np.abs(np.array(got) - want).max() < 1e-9
+            total += len(want)
+    assert total > 50  # the lines really cross the curves
+
+
 # ------------------------------------------------------------- match_curves
 
 def _true_param_map(points3d, cam_a, cam_b):
@@ -281,3 +346,41 @@ def test_point_to_curve_distance_is_zero_on_curve(rng):
     _, on_curve = sample_uniform(pc.spline, 17)
     d = point_to_curve_distances(pc.spline, on_curve)
     assert d.max() < 1e-9
+
+
+def dense_distance_oracle(spline, queries, n=200_000):
+    """Nearest of n uniform samples, refined by golden section between its neighbours."""
+    ts, pts = sample_uniform(spline, n)
+    k = np.array([np.argmin(np.sum((pts - q) ** 2, axis=1)) for q in queries])
+    a, b = ts[np.maximum(k - 1, 0)], ts[np.minimum(k + 1, n - 1)]
+
+    def dist(t):
+        return np.linalg.norm(eval_curve_many(spline, t) - queries, axis=1)
+
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+        left = dist(c) < dist(d)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+    return np.minimum(dist(0.5 * (a + b)), dist(ts[k]))
+
+
+def test_point_to_curve_distance_matches_dense_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        steps = rng.normal(size=(int(rng.integers(8, 25)), 2))
+        steps[:, 0] = np.abs(steps[:, 0]) + 0.5  # x increases: no loop back near an end
+        spline = fit_curve(np.cumsum(steps, axis=0) * 20).spline
+        lo, hi = spline.domain
+        ends = eval_curve_many(spline, [lo, hi])
+        tangents = eval_curve_many(spline.derivative, [lo, hi])
+        tangents /= np.linalg.norm(tangents, axis=1)[:, None]
+        near = eval_curve_many(spline, rng.uniform(lo, hi, 8)) + rng.normal(0.0, 3.0, (8, 2))
+        beyond_ends = np.array([ends[0] - 0.5 * tangents[0], ends[1] + 0.25 * tangents[1]])
+        far = near[:3] + rng.normal(0.0, 2000.0, (3, 2))
+        queries = np.vstack([near, beyond_ends, far])
+        got = point_to_curve_distances(spline, queries)
+        want = dense_distance_oracle(spline, queries)
+        assert np.abs(got - want).max() < 1e-6
+        # past an end along its tangent the end point is the nearest point
+        assert np.abs(got[8:10] - np.linalg.norm(beyond_ends - ends, axis=1)).max() < 1e-9
