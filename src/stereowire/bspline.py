@@ -87,8 +87,12 @@ def averaged_knots(u: np.ndarray, degree: int) -> KnotVector:
     """
     u = np.asarray(u, dtype=float)
     p = degree
-    n = u.size
-    interior = np.array([u[j:j + p].mean() for j in range(1, n - p)])
+    count = max(u.size - p - 1, 0)
+    # the p shifted slices added in order, as each window's mean adds them
+    interior = u[1:1 + count].copy()
+    for k in range(1, p):
+        interior += u[1 + k:1 + k + count]
+    interior /= p
     knots = np.concatenate([np.full(p + 1, u[0]), interior, np.full(p + 1, u[-1])])
     return KnotVector(knots, p)
 
@@ -244,15 +248,30 @@ def eval_curve_many(curve: BSplineCurve, ts: np.ndarray) -> np.ndarray:
 
 
 def dedupe_points(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Drop consecutive vertices closer than tol."""
+    """Drop each vertex within tol of the last vertex kept before it.
+
+    The consecutive gaps settle every vertex whose predecessor is kept in
+    one array call; from a gap of at most tol a loop walks on, measuring
+    from the last kept vertex, until it keeps a vertex again.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(points) == 0:
+    n = len(points)
+    if n == 0:
         return points
-    keep = [0]
-    with np.errstate(over="ignore"):  # an overflowing gap is inf, which is kept
-        for i in range(1, len(points)):
-            if np.linalg.norm(points[i] - points[keep[-1]]) > tol:
-                keep.append(i)
+    # an overflowing gap is inf, which is kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        keep = np.concatenate([[True], np.linalg.norm(np.diff(points, axis=0), axis=-1) > tol])
+        resume = 0
+        for j in np.flatnonzero(~keep).tolist():
+            if j < resume:
+                continue
+            last, i = j - 1, j + 1  # j - 1 is kept: a walk ends on a kept vertex
+            while i < n:
+                keep[i] = np.linalg.norm(points[i] - points[last], axis=-1) > tol
+                if keep[i]:
+                    break
+                i += 1
+            resume = i + 1
     return points[keep]
 
 

@@ -11,7 +11,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,21 +46,28 @@ class ProjectiveCamera:
     """A 3x4 projection matrix mapping homogeneous mm points to px.
 
     Invariants: rank(P) = 3; the camera center C is the right null vector
-    of P (P @ C = 0 up to scale).
+    of P (P @ C = 0 up to scale), kept canonical (see canonical_homogeneous)
+    from the SVD that checks the rank. P is a read-only copy, so the
+    stored center cannot go stale.
     """
 
     P: np.ndarray
     image_size: tuple[int, int]
+    center: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
+        P = np.array(self.P, dtype=float)
         if P.shape != (3, 4):
             raise ValueError(f"projection matrix must be 3x4, got {P.shape}")
+        P.flags.writeable = False
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "image_size", (int(self.image_size[0]), int(self.image_size[1])))
-        s = np.linalg.svd(P, compute_uv=False)
+        _, s, Vt = np.linalg.svd(P)
         if s[2] <= _RANK_TOL * s[0]:
             raise RankDeficient("projection matrix has rank < 3")
+        center = canonical_homogeneous(Vt[-1])
+        center.flags.writeable = False
+        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +143,8 @@ def project_many(cam: ProjectiveCamera, X: np.ndarray) -> np.ndarray:
 
 
 def camera_center(cam: ProjectiveCamera) -> np.ndarray:
-    """Homogeneous camera center: unit-norm right null vector of P."""
-    U, s, Vt = np.linalg.svd(cam.P)
-    if s[2] <= _RANK_TOL * s[0]:
-        raise RankDeficient("projection matrix has rank < 3")
-    return canonical_homogeneous(Vt[-1])
+    """Homogeneous camera center: unit-norm right null vector of P (read-only)."""
+    return cam.center
 
 
 def skew(v) -> np.ndarray:

@@ -147,6 +147,8 @@ def cmd_relax(args) -> int:
             raise ParseError("--tip-target must be 'x,y,z' in mm") from exc
         if tip_target.shape != (3,):
             raise ParseError("--tip-target must be 'x,y,z' in mm")
+        if not np.all(np.isfinite(tip_target)):
+            raise ParseError("--tip-target must be finite")
 
     omega = rod.rest_curvature_field(args.n_segments, args.tip_angle, args.seed)
     wire_rod = rod.straight_rod(args.n_segments, args.segment_length,

@@ -8,6 +8,7 @@ repeated runs produce byte-identical files regardless of locale.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -57,16 +58,45 @@ def _check_keys(obj: dict, required: tuple, optional: tuple, what: str) -> None:
             raise ParseError(f"{what}: missing field '{key}'")
 
 
-def _matrix(value, shape, what: str) -> np.ndarray:
+def _leaf_types(value) -> set:
+    """Exact types of the non-list values in a nested list, one level at a time."""
+    found, level = set(), [value]
+    while level:
+        kinds = set(map(type, level))
+        found |= kinds - {list}
+        level = list(chain.from_iterable(v for v in level if type(v) is list)) if list in kinds else []
+    return found
+
+
+def _numbers(value, what: str, shape: tuple = (), integer: bool = False) -> np.ndarray:
+    """A JSON number or nested list of numbers as a checked array.
+
+    shape gives the expected array shape, None standing for any length.
+    JSON booleans, strings and nulls are refused even where numpy would
+    convert them, and so is any non-finite value; integer=True refuses
+    every non-integer too.
+    """
+    kind = "integers" if integer else "numbers"
+    # exact types: a JSON true is a bool, which Python counts as an int
+    if not _leaf_types(value) <= ({int} if integer else {int, float}):
+        raise ParseError(f"{what}: expected {kind}")
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: not numeric") from exc
-    if arr.shape != shape:
-        raise ParseError(f"{what}: expected shape {shape}, got {arr.shape}")
+        arr = np.asarray(value, dtype=np.int64 if integer else float)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+    if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+        expected = "x".join("N" if n is None else str(n) for n in shape) or "a single value"
+        raise ParseError(f"{what}: expected {expected} {kind}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"{what}: non-finite values")
     return arr
+
+
+def _rows(value, what: str, width: int) -> np.ndarray:
+    """An Nx(width) list of numbers; [] reads as no rows."""
+    if value == []:
+        return np.zeros((0, width))
+    return _numbers(value, what, (None, width))
 
 
 # --- camera files ---
@@ -82,10 +112,10 @@ def save_camera(cam: ProjectiveCamera, path) -> None:
 def load_camera(path) -> ProjectiveCamera:
     obj = _load(path)
     _check_keys(obj, ("P", "image_size"), (), f"camera file {path}")
-    P = _matrix(obj["P"], (3, 4), f"camera file {path}: P")
-    size = obj["image_size"]
-    if not (isinstance(size, list) and len(size) == 2):
-        raise ParseError(f"camera file {path}: image_size must be [w, h]")
+    P = _numbers(obj["P"], f"camera file {path}: P", (3, 4))
+    size = _numbers(obj["image_size"], f"camera file {path}: image_size [w, h]", (2,), integer=True)
+    if np.any(size <= 0):
+        raise ParseError(f"camera file {path}: image_size must be positive")
     return ProjectiveCamera(P, (int(size[0]), int(size[1])))
 
 
@@ -105,14 +135,13 @@ def save_curve(curve: BSplineCurve, path) -> None:
 
 def curve_from_dict(obj: dict, what: str) -> BSplineCurve:
     _check_keys(obj, ("degree", "knots", "control_points"), (), what)
-    if not isinstance(obj["degree"], int):
-        raise ParseError(f"{what}: degree must be an integer")
-    knots = np.asarray(obj["knots"], dtype=float)
-    cp = np.asarray(obj["control_points"], dtype=float)
-    if cp.ndim != 2 or cp.shape[1] not in (2, 3):
+    degree = int(_numbers(obj["degree"], f"{what}: degree", integer=True))
+    knots = _numbers(obj["knots"], f"{what}: knots", (None,))
+    cp = _numbers(obj["control_points"], f"{what}: control_points", (None, None))
+    if cp.shape[1] not in (2, 3):
         raise ParseError(f"{what}: control points must be 2D or 3D")
     try:
-        return BSplineCurve(cp, KnotVector(knots, obj["degree"]))
+        return BSplineCurve(cp, KnotVector(knots, degree))
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}") from exc
 
@@ -134,16 +163,13 @@ def save_annotation(points: np.ndarray, camera: str, frame: int, path) -> None:
 def load_annotation(path) -> tuple[int, str, np.ndarray]:
     obj = _load(path)
     _check_keys(obj, ("frame", "camera", "points"), (), f"annotation file {path}")
-    if not isinstance(obj["frame"], int):
-        raise ParseError(f"annotation file {path}: frame must be an integer")
+    frame = int(_numbers(obj["frame"], f"annotation file {path}: frame", integer=True))
     if obj["camera"] not in ("A", "B"):
         raise ParseError(f"annotation file {path}: camera must be 'A' or 'B'")
-    pts = np.asarray(obj["points"], dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+    pts = _numbers(obj["points"], f"annotation file {path}: points", (None, 2))
+    if pts.shape[0] < 2:
         raise ParseError(f"annotation file {path}: points must be an Nx2 list, N >= 2")
-    if not np.all(np.isfinite(pts)):
-        raise ParseError(f"annotation file {path}: non-finite points")
-    return obj["frame"], obj["camera"], pts
+    return frame, obj["camera"], pts
 
 
 # --- spherical chains ---
@@ -156,14 +182,12 @@ def save_chain(chain: SphericalChain, path) -> None:
 def load_chain(path) -> SphericalChain:
     obj = _load(path)
     _check_keys(obj, ("tip", "r", "offsets"), (), f"chain file {path}")
-    tip = _matrix(obj["tip"], (3,), f"chain file {path}: tip")
-    if not (isinstance(obj["r"], (int, float)) and obj["r"] > 0):
+    tip = _numbers(obj["tip"], f"chain file {path}: tip", (3,))
+    r = float(_numbers(obj["r"], f"chain file {path}: r"))
+    if not r > 0:
         raise ParseError(f"chain file {path}: r must be a positive number")
-    offsets = np.asarray(obj["offsets"], dtype=float)
-    if offsets.size and (offsets.ndim != 2 or offsets.shape[1] != 2):
-        raise ParseError(f"chain file {path}: offsets must be an Nx2 list")
-    return SphericalChain(tip=tip, r=float(obj["r"]),
-                          offsets=offsets if offsets.size else np.zeros((0, 2)))
+    offsets = _rows(obj["offsets"], f"chain file {path}: offsets", 2)
+    return SphericalChain(tip=tip, r=r, offsets=offsets)
 
 
 # --- reconstruction reports ---
@@ -182,9 +206,13 @@ def load_report(path) -> dict:
     obj = _load(path)
     _check_keys(obj, ("frame", "accepted", "mean_reproj_px", "curve"), (),
                 f"report file {path}")
-    curve = curve_from_dict(obj["curve"], f"report file {path}: curve")
-    return {"frame": obj["frame"], "accepted": bool(obj["accepted"]),
-            "mean_reproj_px": float(obj["mean_reproj_px"]), "curve": curve}
+    what = f"report file {path}"
+    if not isinstance(obj["accepted"], bool):
+        raise ParseError(f"{what}: accepted must be a boolean")
+    return {"frame": int(_numbers(obj["frame"], f"{what}: frame", integer=True)),
+            "accepted": obj["accepted"],
+            "mean_reproj_px": float(_numbers(obj["mean_reproj_px"], f"{what}: mean_reproj_px")),
+            "curve": curve_from_dict(obj["curve"], f"{what}: curve")}
 
 
 # --- episodes ---
@@ -207,18 +235,19 @@ def save_episodes(episodes: list[Episode], path) -> None:
 
 def _episode_from_dict(obj: dict, what: str) -> Episode:
     _check_keys(obj, ("tip", "forces", "goal", "success"), ("max_steps",), what)
-    tips = np.asarray(obj["tip"], dtype=float)
-    if tips.ndim != 2 or tips.shape[1] != 3 or tips.shape[0] < 1:
+    tips = _numbers(obj["tip"], f"{what}: tip", (None, 3))
+    if tips.shape[0] < 1:
         raise ParseError(f"{what}: tip must be an Nx3 list, N >= 1")
-    forces = np.asarray(obj["forces"], dtype=float)
-    if forces.size and (forces.ndim != 2 or forces.shape[1] != 3):
-        raise ParseError(f"{what}: forces must be an Nx3 list")
-    goal = _matrix(obj["goal"], (3,), f"{what}: goal")
+    forces = _rows(obj["forces"], f"{what}: forces", 3)
+    goal = _numbers(obj["goal"], f"{what}: goal", (3,))
     if not isinstance(obj["success"], bool):
         raise ParseError(f"{what}: success must be a boolean")
+    max_steps = obj.get("max_steps")
+    if max_steps is not None:
+        max_steps = int(_numbers(max_steps, f"{what}: max_steps", integer=True))
     try:
-        return Episode(tip_positions=tips, forces=forces if forces.size else np.zeros((0, 3)),
-                       goal=goal, success=obj["success"], max_steps=obj.get("max_steps"))
+        return Episode(tip_positions=tips, forces=forces, goal=goal,
+                       success=obj["success"], max_steps=max_steps)
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}") from exc
 

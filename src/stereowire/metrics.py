@@ -61,27 +61,50 @@ class EpisodeMetrics:
     any_success: bool        # False => no successful episode, SPL pinned to 0
 
 
+def squared_distance_table(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """(n, m) squared distances, summed one coordinate at a time.
+
+    The coordinates are added in order, as a sum over the last axis of the
+    (n, m, dim) difference array would add them, so the table is the same
+    bit for bit without building that array. Squaring and adding in place
+    keeps to two (n, m) buffers.
+    """
+    out = P[:, 0, None] - Q[None, :, 0]
+    out *= out
+    for k in range(1, P.shape[1]):
+        diff = P[:, k, None] - Q[None, :, k]
+        diff *= diff
+        out += diff
+    return out
+
+
 def discrete_frechet(P: np.ndarray, Q: np.ndarray) -> float:
     """Discrete Frechet distance between two point sequences.
 
     The coupling DP is filled one anti-diagonal i + j = k at a time; min
     and max are exact, so the result does not depend on the fill order.
+    Cells of one anti-diagonal lie m apart in the flattened tables, so
+    each is a strided slice.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     n, m = len(P), len(Q)
-    # sqrt-of-squared-sums rounds identically in scalar and vector form,
-    # unlike the dot-product norm, keeping the DP bit-comparable
-    d = np.sqrt(np.sum((P[:, None, :] - Q[None, :, :]) ** 2, axis=2))
-    # ca shifted by one: an inf border, -inf at the corner so ca[0, 0] = d[0, 0]
-    ca = np.full((n + 1, m + 1), np.inf)
-    ca[0, 0] = -np.inf
+    # both tables shifted by one: ca has an inf border and -inf at the
+    # corner, so ca[1, 1] = d[0, 0]
+    w = m + 1
+    d = np.zeros((n + 1, w))
+    d[1:, 1:] = np.sqrt(squared_distance_table(P, Q))
+    d = d.ravel()
+    ca = np.full((n + 1) * w, np.inf)
+    ca[0] = -np.inf
     for k in range(n + m - 1):
-        i = np.arange(max(0, k - m + 1), min(n, k + 1))
-        j = k - i
-        prev = np.minimum(np.minimum(ca[i, j + 1], ca[i, j]), ca[i + 1, j])
-        ca[i + 1, j + 1] = np.maximum(prev, d[i, j])
-    return float(ca[n, m])
+        i0, i1 = max(0, k - m + 1), min(n, k + 1)
+        a = w + 1 + k + i0 * m  # cell (i0, k - i0), shifted
+        b = a + (i1 - i0 - 1) * m + 1
+        prev = np.minimum(np.minimum(ca[a - w:b - w:m], ca[a - w - 1:b - w - 1:m]),
+                          ca[a - 1:b - 1:m])
+        np.maximum(prev, d[a:b:m], out=ca[a:b:m])
+    return float(ca[-1])
 
 
 def curve_metrics(pred: BSplineCurve, truth: BSplineCurve, n: int = 64) -> CurveMetrics:

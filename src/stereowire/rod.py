@@ -66,16 +66,6 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     return angle * q[1:] / s
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector v by unit quaternion q."""
-    u = q[1:]
-    t = 2.0 * np.cross(u, v)
-    return v + q[0] * t + np.cross(u, t)
-
-
-_EZ = np.array([0.0, 0.0, 1.0])
-
-
 # ---------------------------------------------------------------------------
 # rod state
 
@@ -120,7 +110,7 @@ class RodState:
 
     def centerline(self) -> np.ndarray:
         """(n_segments + 1, 3) joint positions from base to tip."""
-        dirs = np.array([quat_rotate(q, _EZ) for q in self.orientations])
+        dirs = _segment_dirs(self.orientations)
         pts = np.vstack([np.zeros(3), np.cumsum(self.segment_length * dirs, axis=0)])
         return pts + self.base
 

@@ -31,10 +31,12 @@ from .cameras import (
     project_many,
 )
 from .errors import NoMatches, NonMonotoneInput, PointAtInfinity, ZeroLine
+from .metrics import squared_distance_table
 
 REPROJ_GATE_PX = 25.0
 ON_LINE_PX = 1e-9
 NEWTON_STEPS = 4
+RESIDUAL_SAMPLES = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +126,8 @@ def _unit_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Companion-matrix eigenvalues (a vanishing leading coefficient is raised
     to ~eps of the others, sending its root far outside [0, 1]), then two
     Newton steps kept where they shrink |f|; a root needs |f| <= ON_LINE_PX.
+    The few candidates are polished in Python floats, whose IEEE operations
+    round exactly as the elementwise array form would.
     """
     n, p = c.shape[0], c.shape[1] - 1
     floor = np.maximum(np.finfo(float).eps * np.abs(c).max(axis=1), np.finfo(float).tiny)
@@ -131,26 +135,27 @@ def _unit_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
     companion[:, :, -1] = -c[:, :p] / np.where(np.abs(c[:, p]) > floor, c[:, p], floor)[:, None]
     z = np.linalg.eigvals(companion).ravel()
-    near = np.abs(z.real - 0.5) < 0.5 + 1e-6
-    row, x = np.repeat(np.arange(n), p)[near], np.clip(z.real[near], 0.0, 1.0)
-    coef = c[row]
+    near = np.flatnonzero(np.abs(z.real - 0.5) < 0.5 + 1e-6)
 
-    def value_and_slope(x):
-        f, df = coef[:, p], np.zeros_like(x)
-        for k in range(p - 1, -1, -1):
-            f, df = f * x + coef[:, k], df * x + f
+    def value_and_slope(coef, x):
+        f, df = coef[p], 0.0
+        for a in coef[p - 1::-1]:
+            f, df = f * x + a, df * x + f
         return f, df
 
-    f, df = value_and_slope(x)
-    for _ in range(2):
-        x_new = np.clip(x - np.divide(f, df, out=np.zeros_like(f), where=df != 0.0), 0.0, 1.0)
-        f_new, df_new = value_and_slope(x_new)
-        better = np.abs(f_new) < np.abs(f)
-        x = np.where(better, x_new, x)
-        f = np.where(better, f_new, f)
-        df = np.where(better, df_new, df)
-    ok = np.abs(f) <= ON_LINE_PX
-    return row[ok], x[ok]
+    rows, xs = [], []
+    for k, x in zip(near.tolist(), np.clip(z.real[near], 0.0, 1.0).tolist()):
+        coef = c[k // p].tolist()
+        f, df = value_and_slope(coef, x)
+        for _ in range(2):
+            x_new = min(max(x - (f / df if df != 0.0 else 0.0), 0.0), 1.0)
+            f_new, df_new = value_and_slope(coef, x_new)
+            if abs(f_new) < abs(f):
+                x, f, df = x_new, f_new, df_new
+        if abs(f) <= ON_LINE_PX:
+            rows.append(k // p)
+            xs.append(x)
+    return np.array(rows, dtype=np.intp), np.array(xs)
 
 
 def intersect_epiline(curve_b: PlanarCurve, line) -> list[float]:
@@ -172,8 +177,8 @@ def intersect_epiline(curve_b: PlanarCurve, line) -> list[float]:
     c[:, 0] += line[2]
     span, x = _unit_roots(c)
     # exact at both span ends, so an end-point root is the end parameter
-    roots = np.sort((1.0 - x) * lo[meets][span] + x * hi[meets][span])
-    return roots[np.diff(roots, prepend=-np.inf) > 1e-9].tolist()
+    roots = np.sort((1.0 - x) * lo[meets][span] + x * hi[meets][span]).tolist()
+    return [r for r, prev in zip(roots, [-np.inf, *roots]) if r - prev > 1e-9]
 
 
 # ---------------------------------------------------------------------------
@@ -284,30 +289,48 @@ def triangulate_point(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
 # ---------------------------------------------------------------------------
 # point-to-curve distance (reprojection residual)
 
-def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray,
-                             n_dense: int = 1024) -> np.ndarray:
+def _point_and_derivatives(curve: BSplineCurve,
+                           t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C(t), C'(t) and C''(t) from the curve's cached power form.
+
+    One span lookup and one Horner pass that carries the value, the slope
+    and half the second derivative of each span polynomial together.
+    """
+    lo, hi, _, coef = curve.power_spans
+    s = np.maximum(np.searchsorted(lo, t, side="right") - 1, 0)
+    h = (hi - lo)[s][:, None]
+    x = (t - lo[s])[:, None] / h
+    c = coef[s]
+    f, d1, d2 = c[:, -1], 0.0, 0.0
+    for k in range(c.shape[1] - 2, -1, -1):
+        d2 = d2 * x + d1
+        d1 = d1 * x + f
+        f = f * x + c[:, k]
+    return f, d1 / h, 2.0 * d2 / (h * h)
+
+
+def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray) -> np.ndarray:
     """Distance from each point to its nearest point on the curve.
 
-    A dense presample brackets the nearest parameter between the neighbours
-    of the closest sample; Newton steps on g(t) = C'(t).(C(t) - q) (point
-    inversion, The NURBS Book 6.1) with C', C'' from the hodographs, clamped
+    A dense presample of RESIDUAL_SAMPLES brackets the nearest parameter
+    between the neighbours of the closest sample; Newton steps on
+    g(t) = C'(t).(C(t) - q) (point inversion, The NURBS Book 6.1), clamped
     to the bracket and skipped where g' <= 0, converge it. The result never
     exceeds the closest sample's distance.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    ts, samples = sample_uniform(curve, n_dense)
-    d2 = np.sum((points[:, None, :] - samples[None, :, :]) ** 2, axis=2)
+    ts, samples = sample_uniform(curve, RESIDUAL_SAMPLES)
+    d2 = squared_distance_table(points, samples)
     idx = np.argmin(d2, axis=1)
     lo = ts[np.maximum(idx - 1, 0)]
-    hi = ts[np.minimum(idx + 1, n_dense - 1)]
+    hi = ts[np.minimum(idx + 1, RESIDUAL_SAMPLES - 1)]
 
-    first, second = curve.derivative, curve.derivative.derivative
     t = ts[idx]
     for _ in range(NEWTON_STEPS):
-        r = eval_curve_many(curve, t) - points
-        d1 = eval_curve_many(first, t)
-        g = np.sum(d1 * r, axis=1)
-        dg = np.sum(eval_curve_many(second, t) * r, axis=1) + np.sum(d1 * d1, axis=1)
+        c, first, second = _point_and_derivatives(curve, t)
+        r = c - points
+        g = np.sum(first * r, axis=1)
+        dg = np.sum(second * r, axis=1) + np.sum(first * first, axis=1)
         t = np.clip(t - np.divide(g, dg, out=np.zeros_like(g), where=dg > 0.0), lo, hi)
     best = np.sqrt(np.sum((eval_curve_many(curve, t) - points) ** 2, axis=1))
     return np.minimum(best, np.sqrt(d2[np.arange(len(points)), idx]))

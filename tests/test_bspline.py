@@ -7,6 +7,7 @@ from stereowire.bspline import (
     PlanarCurve,
     _basis_funs,
     _find_spans,
+    averaged_knots,
     basis,
     clamped_uniform_knots,
     dedupe_points,
@@ -325,6 +326,17 @@ def test_fit_round_trip_at_interpolation_parameters(rng):
         assert np.abs(eval_curve(refit.spline, t) - eval_curve(source.spline, t)).max() < 1e-8
 
 
+def test_averaged_knots_are_window_means(rng):
+    for p in range(1, 6):
+        for n in (p + 1, p + 2, 40):
+            u = parameterize_arclength(np.cumsum(rng.normal(size=(n, 2)), axis=0))
+            kv = averaged_knots(u, p)
+            window_means = [u[j:j + p].mean() for j in range(1, n - p)]
+            assert np.array_equal(kv.knots[p + 1:kv.m - p], window_means)
+            assert np.array_equal(kv.knots[:p + 1], np.zeros(p + 1))
+            assert np.array_equal(kv.knots[kv.m - p:], np.ones(p + 1))
+
+
 def test_fit_too_few_points():
     with pytest.raises(TooFewPoints):
         fit_curve(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]))
@@ -349,6 +361,37 @@ def test_fit_removes_duplicate_vertices():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5], [2.0, 0.0], [3.0, 1.0]])
     pc = fit_curve(pts)
     assert len(pc.points) == 4
+
+
+def dedupe_loop_oracle(points, tol=1e-9):
+    """Vertex by vertex: keep one farther than tol from the last kept vertex."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    keep = [0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, len(points)):
+            if np.linalg.norm(points[i] - points[keep[-1]]) > tol:
+                keep.append(i)
+    return points[keep]
+
+
+def test_dedupe_matches_loop_oracle(rng):
+    for dim in (2, 3):
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            # steps of 1e-10 to 2.5e-9: chains of sub-tol steps that add up past tol
+            steps = rng.normal(size=(n, dim))
+            steps *= (rng.uniform(0.1, 2.5, n) * 1e-9 / np.linalg.norm(steps, axis=1))[:, None]
+            steps[rng.random(n) < 0.1] = 0.0  # exact repeats
+            jumps = rng.random(n) < 0.15
+            steps[jumps] = rng.normal(size=(int(jumps.sum()), dim))
+            pts = np.cumsum(steps, axis=0)
+            if rng.random() < 0.3:  # a 1e308 vertex: its gaps overflow to inf
+                pts[rng.integers(n)] = 1e308 * np.sign(rng.normal(size=dim))
+            want = dedupe_loop_oracle(pts)
+            got = dedupe_points(pts)
+            assert np.array_equal(got, want)
+    chain = np.column_stack([np.arange(10) * 0.4e-9, np.zeros(10)])  # 0.4e-9 steps
+    assert np.array_equal(dedupe_points(chain), chain[[0, 3, 6, 9]])
 
 
 # ------------------------------------------------------------- sample_uniform

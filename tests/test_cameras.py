@@ -87,11 +87,16 @@ def test_center_is_null_vector(rng):
         assert np.linalg.norm(cam.P @ C) < 1e-10
         assert abs(np.linalg.norm(C) - 1.0) < 1e-12
         assert C[3] >= 0
+        # the centre stored at construction is the canonical SVD null vector
+        assert np.array_equal(C, canonical_homogeneous(np.linalg.svd(P)[2][-1]))
     # realistic pixel-scale cameras: residual relative to the matrix norm
     for _ in range(10):
         cam = random_camera(rng)
         C = camera_center(cam)
         assert np.linalg.norm(cam.P @ C) < 1e-12 * np.linalg.norm(cam.P)
+        assert np.array_equal(C, canonical_homogeneous(np.linalg.svd(cam.P)[2][-1]))
+        # neither the centre nor the matrix it was computed from can change
+        assert not C.flags.writeable and not cam.P.flags.writeable
 
 
 def test_rank_deficient_rejected():

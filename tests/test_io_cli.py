@@ -305,6 +305,99 @@ def test_relax_command_with_tip_target(tmp_path, capsys):
     assert "tip_residual_mm=" in out
 
 
+@pytest.mark.parametrize("target", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+def test_relax_command_rejects_non_finite_tip_target(tmp_path, capsys, target):
+    rc = main(["relax", "--out", str(tmp_path / "pinned.json"), "--n-segments", "8",
+               "--tip-target", target])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "finite" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "pinned.json").exists()
+
+
+def _mutate(field, value):
+    def edit(obj):
+        obj[field] = value
+    return edit
+
+
+def _mutate_curve(field, value):
+    def edit(obj):
+        obj["curve"][field] = value
+    return edit
+
+
+# (artifacts to corrupt, edit of each JSON object); each must fail to load
+BAD_NUMERIC_FIELDS = {
+    "image_size_string": ("camera_a.json", _mutate("image_size", ["a", 2])),
+    "image_size_float": ("camera_a.json", _mutate("image_size", [1024.5, 1024])),
+    "image_size_bool": ("camera_b.json", _mutate("image_size", [True, 1024])),
+    "image_size_negative": ("camera_b.json", _mutate("image_size", [-1024, 1024])),
+    "P_string": ("camera_a.json", _mutate("P", "abc")),
+    "P_bool_entry": ("camera_a.json", lambda obj: obj["P"][0].__setitem__(0, True)),
+    "P_ragged": ("camera_b.json", lambda obj: obj["P"][1].pop()),
+    # both views, so the frames still agree with each other
+    "frame_bool": ("annotation_a.json annotation_b.json", _mutate("frame", True)),
+    "frame_float": ("annotation_a.json annotation_b.json", _mutate("frame", 0.5)),
+    "frame_string": ("annotation_a.json annotation_b.json", _mutate("frame", "0")),
+    "points_string": ("annotation_a.json", _mutate("points", "abc")),
+    "points_null_entry": ("annotation_a.json", lambda obj: obj["points"][2].__setitem__(1, None)),
+    "points_huge_int": ("annotation_b.json", lambda obj: obj["points"][2].__setitem__(1, 10 ** 400)),
+    "knots_string": ("truth_curve.json", _mutate("knots", "abc")),
+    "knots_string_entry": ("truth_curve.json", lambda obj: obj["knots"].__setitem__(0, "0")),
+    "degree_bool": ("truth_curve.json", _mutate("degree", True)),
+    "control_points_nan": ("truth_curve.json",
+                           lambda obj: obj["control_points"][0].__setitem__(0, float("nan"))),
+    "control_points_flat": ("truth_curve.json", _mutate("control_points", [1.0, 2.0, 3.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMERIC_FIELDS))
+def test_cli_bad_numeric_field_single_line_diagnostic(tmp_path, capsys, case):
+    out = synth_dir(tmp_path)
+    names, edit = BAD_NUMERIC_FIELDS[case]
+    for name in names.split():
+        obj = json.loads((out / name).read_text())
+        edit(obj)
+        (out / name).write_text(json.dumps(obj))
+    capsys.readouterr()
+    if name == "truth_curve.json":
+        argv = ["evaluate", str(out / name), str(out / name)]
+    else:
+        argv = ["reconstruct", "--camera-a", str(out / "camera_a.json"),
+                "--camera-b", str(out / "camera_b.json"),
+                "--annotations", str(out / "annotation_a.json"), str(out / "annotation_b.json"),
+                "--out", str(tmp_path / "r.json")]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    err = captured.err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert captured.out == ""
+
+
+def test_report_and_episode_numeric_fields_checked(tmp_path, rng):
+    curve = fit_curve(rng.normal(size=(6, 3)))
+    path = tmp_path / "report.json"
+    swio.save_report(3, True, 0.5, curve, path)
+    assert swio.load_report(path)["frame"] == 3
+    for field, value in (("frame", True), ("accepted", "yes"), ("mean_reproj_px", "abc")):
+        obj = json.loads(path.read_text())
+        obj[field] = value
+        bad = tmp_path / f"bad_{field}.json"
+        bad.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=field):
+            swio.load_report(bad)
+    ep = {"tip": [[0.0, 0.0, 0.0]], "forces": [], "goal": [1.0, 0.0, 0.0], "success": True}
+    for field, value in (("max_steps", 2.5), ("goal", [1.0, True, 0.0]), ("forces", [[1, 2]])):
+        bad = tmp_path / f"ep_{field}.json"
+        bad.write_text(json.dumps({**ep, field: value}))
+        with pytest.raises(ParseError, match=field):
+            swio.load_episodes(bad)
+
+
 def test_cli_malformed_input_single_line_diagnostic(tmp_path, capsys):
     bad = tmp_path / "nope.json"
     bad.write_text("{ not json")

@@ -10,6 +10,7 @@ from stereowire.metrics import (
     force_magnitude,
     path_length,
     reward,
+    squared_distance_table,
 )
 
 
@@ -78,12 +79,18 @@ def test_frechet_matches_memo_oracle_exactly(rng):
 
 
 def test_frechet_wavefront_equals_double_loop(rng):
-    for _ in range(40):
-        n, m = rng.choice(np.arange(1, 90), size=2, replace=False)
+    # single-row and single-column tables first: strides of 1 and 0 cells
+    sizes = [(1, 1), (1, 2), (2, 1), (1, 9)]
+    sizes += [tuple(rng.choice(np.arange(1, 90), size=2, replace=False)) for _ in range(40)]
+    for n, m in sizes:
         P = np.cumsum(rng.normal(size=(n, 3)), axis=0)
         Q = np.cumsum(rng.normal(size=(m, 3)), axis=0)
         assert discrete_frechet(P, Q) == frechet_loop_oracle(P, Q)
         assert discrete_frechet(Q, P) == frechet_loop_oracle(Q, P)
+        # the per-coordinate table is the broadcast sum bit for bit, in 3D and in 2D
+        for A, B in ((P, Q), (P[:, :2], Q[:, :2])):
+            want = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2)
+            assert np.array_equal(squared_distance_table(A, B), want)
 
 
 def test_frechet_bounded_below_by_end_pairs(rng):

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 import stereowire as sw
-from stereowire.bspline import eval_curve_many, fit_curve, sample_uniform
+from stereowire.bspline import BSplineCurve, eval_curve_many, fit_curve, sample_uniform
 from stereowire.cameras import ProjectiveCamera, fundamental_matrix, project, project_many
 from stereowire.errors import NoMatches, NonMonotoneInput, PointAtInfinity
 from stereowire.rig import default_rig
 from stereowire.stereo import (
+    ON_LINE_PX,
+    _point_and_derivatives,
+    _unit_roots,
     intersect_epiline,
     match_curves,
     pchip_fit,
@@ -16,6 +19,7 @@ from stereowire.stereo import (
 )
 
 from conftest import random_stereo_rig
+from test_bspline import random_repeated_kv
 
 
 def helix_points(turns=0.75, n=200):
@@ -143,6 +147,34 @@ def sign_change_roots(spline, line, dense):
     return 0.5 * (lo + hi)
 
 
+def array_polished_unit_roots(c):
+    """Companion eigenvalues polished by two guarded Newton steps on whole arrays."""
+    n, p = c.shape[0], c.shape[1] - 1
+    floor = np.maximum(np.finfo(float).eps * np.abs(c).max(axis=1), np.finfo(float).tiny)
+    companion = np.zeros((n, p, p))
+    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
+    companion[:, :, -1] = -c[:, :p] / np.where(np.abs(c[:, p]) > floor, c[:, p], floor)[:, None]
+    z = np.linalg.eigvals(companion).ravel()
+    near = np.abs(z.real - 0.5) < 0.5 + 1e-6
+    row, x = np.repeat(np.arange(n), p)[near], np.clip(z.real[near], 0.0, 1.0)
+    coef = c[row]
+
+    def value_and_slope(x):
+        f, df = coef[:, p], np.zeros_like(x)
+        for k in range(p - 1, -1, -1):
+            f, df = f * x + coef[:, k], df * x + f
+        return f, df
+
+    f, df = value_and_slope(x)
+    for _ in range(2):
+        x_new = np.clip(x - np.divide(f, df, out=np.zeros_like(f), where=df != 0.0), 0.0, 1.0)
+        f_new, df_new = value_and_slope(x_new)
+        better = np.abs(f_new) < np.abs(f)
+        x, f, df = (np.where(better, a, b) for a, b in ((x_new, x), (f_new, f), (df_new, df)))
+    ok = np.abs(f) <= ON_LINE_PX
+    return row[ok], x[ok]
+
+
 def test_intersect_matches_dense_sign_change_oracle():
     rng = np.random.default_rng(7)
     total = 0
@@ -159,6 +191,11 @@ def test_intersect_matches_dense_sign_change_oracle():
             if len(want):
                 assert np.abs(np.array(got) - want).max() < 1e-9
             total += len(want)
+            # the scalar polish rounds as the array polish does, on every span
+            c = pc.spline.power_spans[3] @ line[:2]
+            c[:, 0] += line[2]
+            for a, b in zip(_unit_roots(c), array_polished_unit_roots(c)):
+                assert np.array_equal(a, b)
     assert total > 50  # the lines really cross the curves
 
 
@@ -346,6 +383,19 @@ def test_point_to_curve_distance_is_zero_on_curve(rng):
     _, on_curve = sample_uniform(pc.spline, 17)
     d = point_to_curve_distances(pc.spline, on_curve)
     assert d.max() < 1e-9
+
+
+def test_newton_terms_match_the_hodographs(rng):
+    for p in (1, 2, 3, 5):
+        kv = random_repeated_kv(rng, p)
+        curve = BSplineCurve(rng.normal(size=(kv.n_basis, 2)), kv)
+        lo, hi = curve.domain
+        t = np.concatenate([kv.knots[p:kv.m - p + 1], rng.uniform(lo, hi, 50)])
+        got = _point_and_derivatives(curve, t)
+        hodographs = (curve, curve.derivative, curve.derivative.derivative)
+        for g, c in zip(got, hodographs):
+            want = eval_curve_many(c, t)
+            assert np.abs(g - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
 
 def dense_distance_oracle(spline, queries, n=200_000):
