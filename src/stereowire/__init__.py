@@ -14,8 +14,6 @@ Submodules:
 from .bspline import (
     BSplineCurve,
     KnotVector,
-    PlanarCurve,
-    SpatialCurve,
     basis,
     eval_curve,
     fit_curve,
@@ -24,10 +22,8 @@ from .bspline import (
 )
 from .cameras import (
     Correspondence,
-    FundamentalMatrix,
     ProjectiveCamera,
     calibrate_dlt,
-    camera_center,
     epiline,
     fundamental_matrix,
     project,

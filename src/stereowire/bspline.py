@@ -157,8 +157,7 @@ def _basis_funs(knots: np.ndarray, p: int, ts: np.ndarray, spans: np.ndarray) ->
 class BSplineCurve:
     """C(t) = sum_i P_i B_(i,p)(t) with control points of any dimension.
 
-    3D instances play the SpatialCurve role (mm); 2D instances back the
-    PlanarCurve annotation fit (px).
+    2D instances are annotation fits (px), 3D instances wires (mm).
     """
 
     control_points: np.ndarray
@@ -215,9 +214,6 @@ class BSplineCurve:
             coef.append(eval_curve_many(curve, lo) * ((hi - lo) ** k / math.factorial(k))[:, None])
             curve = curve.derivative
         return lo, hi, s - p, np.stack(coef, axis=1)
-
-
-SpatialCurve = BSplineCurve
 
 
 def eval_curve(curve: BSplineCurve, t: float) -> np.ndarray:
@@ -297,22 +293,13 @@ def parameterize_arclength(points) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True, eq=False)
-class PlanarCurve:
-    """A 2D annotation polyline with its arclength B-spline interpolant."""
-
-    points: np.ndarray
-    u: np.ndarray
-    spline: BSplineCurve
-
-
-def fit_curve(polyline, degree: int = 3):
+def fit_curve(polyline, degree: int = 3) -> BSplineCurve:
     """Interpolating B-spline through a polyline at its arclength parameters.
 
     Consecutive duplicate vertices are removed first (tol 1e-9). Returns a
-    PlanarCurve for 2D input, a BSplineCurve for 3D input. Raises
-    TooFewPoints below degree+1 distinct vertices and SolveFailure if the
-    collocation system cannot reproduce the vertices to 1e-9.
+    BSplineCurve of the input's dimension. Raises TooFewPoints below
+    degree+1 distinct vertices and SolveFailure if the collocation system
+    cannot reproduce the vertices to 1e-9.
     """
     pts = dedupe_points(polyline)
     n = len(pts)
@@ -332,16 +319,11 @@ def fit_curve(polyline, degree: int = 3):
     resid = np.abs(eval_curve_many(curve, u) - pts).max()
     if resid > 1e-9:
         raise SolveFailure(f"interpolation residual {resid:.3g} exceeds 1e-9")
-
-    if pts.shape[1] == 2:
-        return PlanarCurve(points=pts, u=u, spline=curve)
     return curve
 
 
-def sample_uniform(curve, n: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_uniform(curve: BSplineCurve, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n curve samples at t_k = t_p + (k/(n-1)) (t_(m-p) - t_p), endpoints included."""
-    if isinstance(curve, PlanarCurve):
-        curve = curve.spline
     if n < 2:
         raise ValueError("need n >= 2 samples")
     lo, hi = curve.domain

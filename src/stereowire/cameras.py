@@ -11,6 +11,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,21 +72,6 @@ class ProjectiveCamera:
 
 
 @dataclass(frozen=True, eq=False)
-class FundamentalMatrix:
-    """Rank-2 3x3 matrix F with x_B^T F x_A = 0 for corresponding points."""
-
-    F: np.ndarray
-
-    def __post_init__(self):
-        F = normalize_fundamental(np.asarray(self.F, dtype=float))
-        object.__setattr__(self, "F", F)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.F
-
-
-@dataclass(frozen=True, eq=False)
 class Correspondence:
     """A calibration pairing of one 3D world point (mm) with its pixel."""
 
@@ -116,35 +102,25 @@ def normalize_fundamental(F: np.ndarray) -> np.ndarray:
 
 
 def project(cam: ProjectiveCamera, X) -> np.ndarray:
-    """Project a 3D point (mm) to pixel coordinates.
-
-    Raises DegenerateProjection when the homogeneous depth |w| <= 1e-12
-    (point on the principal plane).
-    """
-    X = np.asarray(X, dtype=float).reshape(3)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("point must be finite")
-    uvw = cam.P @ np.append(X, 1.0)
-    w = uvw[2]
-    if abs(w) <= 1e-12:
-        raise DegenerateProjection("point lies on the principal plane")
-    return uvw[:2] / w
+    """Project one 3D point (mm) to pixel coordinates (see project_many)."""
+    return project_many(cam, np.reshape(X, (1, 3)))[0]
 
 
 def project_many(cam: ProjectiveCamera, X: np.ndarray) -> np.ndarray:
-    """Vectorized projection of an (n, 3) array of points to (n, 2) px."""
+    """Project an (n, 3) array of points (mm) to (n, 2) px.
+
+    Raises ValueError for a non-finite point and DegenerateProjection when
+    a homogeneous depth |w| <= 1e-12 (point on the principal plane).
+    """
     X = np.asarray(X, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("points must be finite")
     Xh = np.hstack([X, np.ones((X.shape[0], 1))])
     uvw = Xh @ cam.P.T
     w = uvw[:, 2]
     if np.any(np.abs(w) <= 1e-12):
         raise DegenerateProjection("point lies on the principal plane")
     return uvw[:, :2] / w[:, None]
-
-
-def camera_center(cam: ProjectiveCamera) -> np.ndarray:
-    """Homogeneous camera center: unit-norm right null vector of P (read-only)."""
-    return cam.center
 
 
 def skew(v) -> np.ndarray:
@@ -157,41 +133,43 @@ def skew(v) -> np.ndarray:
     ])
 
 
-def _dehomogenized_center(C: np.ndarray) -> np.ndarray | None:
-    return C[:3] / C[3] if abs(C[3]) > 1e-12 else None
+def _check_distinct_centers(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera) -> None:
+    """Raise CoincidentCenters unless the two camera centers differ.
+
+    Finite centers coincide within 1e-9 mm, others as canonical homogeneous
+    vectors within 1e-9; in Python floats, cheap enough for every point.
+    """
+    a, b = cam_a.center.tolist(), cam_b.center.tolist()
+    if abs(a[3]) > 1e-12 and abs(b[3]) > 1e-12:
+        a, b = [v / a[3] for v in a[:3]], [v / b[3] for v in b[:3]]
+    if math.dist(a, b) <= 1e-9:
+        raise CoincidentCenters("camera centers coincide; no epipolar geometry")
 
 
-def fundamental_matrix(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera) -> FundamentalMatrix:
+def fundamental_matrix(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera) -> np.ndarray:
     """F = [e_B]_x P_B P_A^+ where e_B = P_B C_A is view B's epipole.
 
-    The pseudoinverse zeroes singular values below 1e-12 * sigma_max.
-    Raises CoincidentCenters when the two camera centers coincide.
+    F is rank 2 with x_B^T F x_A = 0 for corresponding points, returned
+    normalized (see normalize_fundamental). The pseudoinverse zeroes
+    singular values below 1e-12 * sigma_max. Raises CoincidentCenters
+    when the two camera centers coincide.
     """
-    C_a = camera_center(cam_a)
-    C_b = camera_center(cam_b)
-    ca, cb = _dehomogenized_center(C_a), _dehomogenized_center(C_b)
-    if ca is not None and cb is not None:
-        coincident = np.linalg.norm(ca - cb) <= 1e-9
-    else:
-        coincident = np.linalg.norm(C_a - C_b) <= 1e-9
-    if coincident:
-        raise CoincidentCenters("camera centers coincide; no epipolar geometry")
-    e_b = cam_b.P @ C_a
+    _check_distinct_centers(cam_a, cam_b)
+    e_b = cam_b.P @ cam_a.center
     P_a_pinv = np.linalg.pinv(cam_a.P, rcond=1e-12)
-    return FundamentalMatrix(skew(e_b) @ cam_b.P @ P_a_pinv)
+    return normalize_fundamental(skew(e_b) @ cam_b.P @ P_a_pinv)
 
 
-def epiline(F: FundamentalMatrix | np.ndarray, x_a) -> np.ndarray:
+def epiline(F: np.ndarray, x_a) -> np.ndarray:
     """Epiline l_B = F x_A in view B, scaled so ||(a, b)|| = 1.
 
     Raises ZeroLine when F x_A vanishes (x_A is the epipole) or the line
     has no finite direction.
     """
-    Fm = F.matrix if isinstance(F, FundamentalMatrix) else np.asarray(F, dtype=float)
     x_a = np.asarray(x_a, dtype=float).reshape(2)
     if not np.all(np.isfinite(x_a)):
         raise ValueError("point must be finite")
-    l = Fm @ np.append(x_a, 1.0)
+    l = F @ np.append(x_a, 1.0)
     d = np.hypot(l[0], l[1])
     if d <= 1e-12 * max(1.0, np.linalg.norm(l)) or d == 0.0:
         raise ZeroLine("epiline is degenerate (point at or near the epipole)")

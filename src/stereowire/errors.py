@@ -42,7 +42,7 @@ class OutOfDomain(StereowireError, ValueError):
 
 
 class DegenerateCurve(StereowireError):
-    """Polyline has (near-)zero total length."""
+    """Polyline or curve has (near-)zero or non-finite extent."""
 
 
 class TooFewPoints(StereowireError):
@@ -77,10 +77,6 @@ class NonUniformSpacing(StereowireError):
 
 class UnreachableConstraint(StereowireError):
     """Pinned tip lies outside the rod's reachable length."""
-
-
-class NonConvergence(StereowireError):
-    """Relaxation failed to reach the gradient tolerance."""
 
 
 # --- file I/O ---

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import BSplineCurve, sample_uniform
+from .errors import DegenerateCurve
 
 FORCE_LIMIT_N = 2.0
 GOAL_RADIUS_MM = 8.0
@@ -108,10 +109,16 @@ def discrete_frechet(P: np.ndarray, Q: np.ndarray) -> float:
 
 
 def curve_metrics(pred: BSplineCurve, truth: BSplineCurve, n: int = 64) -> CurveMetrics:
-    """Pointwise shape errors between two curves sampled at n uniform parameters."""
-    _, p = sample_uniform(pred, n)
-    _, q = sample_uniform(truth, n)
-    d = np.linalg.norm(p - q, axis=1)
+    """Pointwise shape errors between two curves sampled at n uniform parameters.
+
+    Raises DegenerateCurve when a distance overflows (a huge control point).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, p = sample_uniform(pred, n)
+        _, q = sample_uniform(truth, n)
+        d = np.linalg.norm(p - q, axis=1)
+    if not np.all(np.isfinite(d)):
+        raise DegenerateCurve("curve distances are not finite")
     return CurveMetrics(
         max_ed=float(d.max()),
         mete=float(d[0]),

@@ -15,17 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import (
-    BSplineCurve,
-    PlanarCurve,
-    eval_curve_many,
-    fit_curve,
-    sample_uniform,
-)
+from .bspline import BSplineCurve, eval_curve_many, fit_curve, sample_uniform
 from .cameras import (
-    FundamentalMatrix,
     ProjectiveCamera,
-    camera_center,
+    _check_distinct_centers,
     epiline,
     fundamental_matrix,
     project_many,
@@ -34,7 +27,9 @@ from .errors import NoMatches, NonMonotoneInput, PointAtInfinity, ZeroLine
 from .metrics import squared_distance_table
 
 REPROJ_GATE_PX = 25.0
-ON_LINE_PX = 1e-9
+# above the 9-significant-digit precision pixels are written with, so the
+# epiline of one view's end sample still meets the other view's end point
+ON_LINE_PX = 1e-5
 NEWTON_STEPS = 4
 RESIDUAL_SAMPLES = 1024
 
@@ -158,20 +153,19 @@ def _unit_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=np.intp), np.array(xs)
 
 
-def intersect_epiline(curve_b: PlanarCurve, line) -> list[float]:
+def intersect_epiline(curve_b: BSplineCurve, line) -> list[float]:
     """Parameters u_B where the epiline crosses the annotation spline, increasing.
 
     The line distance l.C(t) is a spline with control values l.P_i + l_2. Spans
-    whose p+1 values all lie beyond 1e-9 px on one side cannot meet the line
+    whose p+1 values all lie beyond ON_LINE_PX on one side cannot meet the line
     (convex hull); on the others its polynomial, from the curve's cached power
-    form, is solved exactly. Roots within 1e-9 px count, so a line through an
+    form, is solved exactly. Roots within ON_LINE_PX count, so a line through an
     end point finds it; a root within 1e-9 of the one before is dropped.
     """
     line = np.asarray(line, dtype=float).reshape(3)
-    spline = curve_b.spline
-    lo, hi, first, coef = spline.power_spans
-    values = spline.control_points @ line[:2] + line[2]
-    window = values[first[:, None] + np.arange(spline.degree + 1)]
+    lo, hi, first, coef = curve_b.power_spans
+    values = curve_b.control_points @ line[:2] + line[2]
+    window = values[first[:, None] + np.arange(curve_b.degree + 1)]
     meets = (window.min(axis=1) <= ON_LINE_PX) & (window.max(axis=1) >= -ON_LINE_PX)
     c = coef[meets] @ line[:2]
     c[:, 0] += line[2]
@@ -194,12 +188,9 @@ class ParamMatch:
     samples: list[tuple[float, float | None]]
     interpolant: MonotoneInterpolant
 
-    def map(self, u_a):
-        return self.interpolant(u_a)
 
-
-def match_curves(curve_a: PlanarCurve, curve_b: PlanarCurve,
-                 F: FundamentalMatrix, n_samples: int = 64) -> ParamMatch:
+def match_curves(curve_a: BSplineCurve, curve_b: BSplineCurve,
+                 F: np.ndarray, n_samples: int = 64) -> ParamMatch:
     """Epipolar correspondence u_A -> u_B between two annotated curves.
 
     Uniformly samples curve A; for each sample the epiline is intersected
@@ -262,11 +253,10 @@ def triangulate_point(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
     """Two-view DLT triangulation (two rows per view, 4x4 system).
 
     The solution is the right singular vector of the smallest singular
-    value; raises PointAtInfinity when its homogeneous weight is ~ 0.
+    value; raises CoincidentCenters when the camera centers coincide and
+    PointAtInfinity when the solution's homogeneous weight is ~ 0.
     """
-    ca, cb = camera_center(cam_a), camera_center(cam_b)
-    if np.linalg.norm(ca - cb) <= 1e-12:
-        raise ValueError("cameras must have distinct centers")
+    _check_distinct_centers(cam_a, cam_b)
     x_a = np.asarray(x_a, dtype=float).reshape(2)
     x_b = np.asarray(x_b, dtype=float).reshape(2)
     Pa, Pb = cam_a.P, cam_b.P
@@ -350,7 +340,7 @@ class ReconstructionReport:
 
 
 def reconstruct_curve(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
-                      curve_a: PlanarCurve, curve_b: PlanarCurve,
+                      curve_a: BSplineCurve, curve_b: BSplineCurve,
                       n_samples: int = 64) -> ReconstructionReport:
     """Match, triangulate, and fit a 3D cubic; gate on mean reprojection.
 
@@ -362,16 +352,16 @@ def reconstruct_curve(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
     F = fundamental_matrix(cam_a, cam_b)
     match = match_curves(curve_a, curve_b, F, n_samples)
     u_as = np.array([ua for ua, _ in match.samples])
-    u_bs = np.clip(match.interpolant(u_as), *curve_b.spline.domain)
-    pts_a = eval_curve_many(curve_a.spline, u_as)
-    pts_b = eval_curve_many(curve_b.spline, u_bs)
+    u_bs = np.clip(match.interpolant(u_as), *curve_b.domain)
+    pts_a = eval_curve_many(curve_a, u_as)
+    pts_b = eval_curve_many(curve_b, u_bs)
     world = np.array([
         triangulate_point(cam_a, cam_b, xa, xb) for xa, xb in zip(pts_a, pts_b)
     ])
     curve3d = fit_curve(world, degree=3)
 
-    err_a = point_to_curve_distances(curve_a.spline, project_many(cam_a, world))
-    err_b = point_to_curve_distances(curve_b.spline, project_many(cam_b, world))
+    err_a = point_to_curve_distances(curve_a, project_many(cam_a, world))
+    err_b = point_to_curve_distances(curve_b, project_many(cam_b, world))
     per_point = np.column_stack([err_a, err_b])
     mean_reproj = float(per_point.mean())
     return ReconstructionReport(

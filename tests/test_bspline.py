@@ -4,7 +4,6 @@ import pytest
 from stereowire.bspline import (
     BSplineCurve,
     KnotVector,
-    PlanarCurve,
     _basis_funs,
     _find_spans,
     averaged_knots,
@@ -313,17 +312,17 @@ def test_arclength_matches_prefix_sum_oracle(rng):
 def test_fit_collinear_points_stay_on_line():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.5, 2.5], [4.0, 4.0]])
     pc = fit_curve(pts)
-    mid = eval_curve(pc.spline, 0.5)
+    mid = eval_curve(pc, 0.5)
     assert abs(mid[1] - mid[0]) < 1e-10  # on the line y = x
 
 
 def test_fit_round_trip_at_interpolation_parameters(rng):
     pts = np.cumsum(rng.normal(size=(12, 2)), axis=0) * 5
     source = fit_curve(pts)
-    resampled = eval_curve_many(source.spline, source.u)
+    resampled = eval_curve_many(source, parameterize_arclength(pts))
     refit = fit_curve(resampled)
     for t in rng.uniform(0, 1, 50):
-        assert np.abs(eval_curve(refit.spline, t) - eval_curve(source.spline, t)).max() < 1e-8
+        assert np.abs(eval_curve(refit, t) - eval_curve(source, t)).max() < 1e-8
 
 
 def test_averaged_knots_are_window_means(rng):
@@ -352,15 +351,17 @@ def test_fit_interpolates_vertices(rng):
 def test_fit_returns_planar_with_increasing_u(rng):
     pts = np.cumsum(rng.normal(size=(15, 2)), axis=0)
     pc = fit_curve(pts)
-    assert isinstance(pc, PlanarCurve)
-    assert pc.u[0] == 0.0 and pc.u[-1] == 1.0
-    assert np.all(np.diff(pc.u) > 0)
+    assert isinstance(pc, BSplineCurve) and pc.dim == 2
+    assert pc.domain == (0.0, 1.0)
+    u = parameterize_arclength(pts)
+    assert u[0] == 0.0 and u[-1] == 1.0
+    assert np.all(np.diff(u) > 0)
 
 
 def test_fit_removes_duplicate_vertices():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5], [2.0, 0.0], [3.0, 1.0]])
     pc = fit_curve(pts)
-    assert len(pc.points) == 4
+    assert len(pc.control_points) == 4  # an interpolating fit has one per vertex
 
 
 def dedupe_loop_oracle(points, tol=1e-9):

@@ -3,10 +3,8 @@ import pytest
 
 from stereowire.cameras import (
     Correspondence,
-    FundamentalMatrix,
     ProjectiveCamera,
     calibrate_dlt,
-    camera_center,
     canonical_homogeneous,
     epiline,
     fundamental_matrix,
@@ -62,17 +60,17 @@ def test_project_principal_plane_raises():
         project(cam, [1.0, 1.0, 0.0])
 
 
-# ---------------------------------------------------------------- camera_center
+# ---------------------------------------------------------------- camera center
 
 def test_center_canonical_at_origin():
-    C = camera_center(canonical())
+    C = canonical().center
     assert np.allclose(C / C[3], [0, 0, 0, 1])
 
 
 def test_center_translated_camera():
     t = np.array([1.0, 2.0, 3.0])
     P = np.hstack([np.eye(3), -t[:, None]])
-    C = camera_center(ProjectiveCamera(P, (100, 100)))
+    C = ProjectiveCamera(P, (100, 100)).center
     assert np.allclose(C / C[3], [1, 2, 3, 1], atol=1e-12)
 
 
@@ -83,7 +81,7 @@ def test_center_is_null_vector(rng):
         if np.linalg.svd(P, compute_uv=False)[2] < 1e-3:
             continue
         cam = ProjectiveCamera(P, (10, 10))
-        C = camera_center(cam)
+        C = cam.center
         assert np.linalg.norm(cam.P @ C) < 1e-10
         assert abs(np.linalg.norm(C) - 1.0) < 1e-12
         assert C[3] >= 0
@@ -92,7 +90,7 @@ def test_center_is_null_vector(rng):
     # realistic pixel-scale cameras: residual relative to the matrix norm
     for _ in range(10):
         cam = random_camera(rng)
-        C = camera_center(cam)
+        C = cam.center
         assert np.linalg.norm(cam.P @ C) < 1e-12 * np.linalg.norm(cam.P)
         assert np.array_equal(C, canonical_homogeneous(np.linalg.svd(cam.P)[2][-1]))
         # neither the centre nor the matrix it was computed from can change
@@ -138,7 +136,7 @@ def test_fundamental_canonical_pair_annihilates():
     cam_b = ProjectiveCamera(np.hstack([np.eye(3), np.array([[-1.0], [0.0], [0.0]])]), (1024, 1024))
     F = fundamental_matrix(cam_a, cam_b)
     X = np.array([0.0, 0.0, 5.0])
-    res = homog(project(cam_b, X)) @ F.matrix @ homog(project(cam_a, X))
+    res = homog(project(cam_b, X)) @ F @ homog(project(cam_a, X))
     assert abs(res) < 1e-12
 
 
@@ -156,14 +154,14 @@ def test_fundamental_projection_oracle(rng):
     xa = project_many(cam_a, X)
     xb = project_many(cam_b, X)
     res = np.einsum("ni,ij,nj->n",
-                    np.hstack([xb, np.ones((20, 1))]), F.matrix,
+                    np.hstack([xb, np.ones((20, 1))]), F,
                     np.hstack([xa, np.ones((20, 1))]))
     assert np.abs(res).max() < 1e-9
 
 
 def test_fundamental_invariants(rng):
     cam_a, cam_b = random_stereo_rig(rng)
-    F = fundamental_matrix(cam_a, cam_b).matrix
+    F = fundamental_matrix(cam_a, cam_b)
     # unit Frobenius norm, positive leading entry, rank 2
     assert abs(np.linalg.norm(F) - 1.0) < 1e-12
     flat = F.ravel()
@@ -172,8 +170,8 @@ def test_fundamental_invariants(rng):
     s = np.linalg.svd(F, compute_uv=False)
     assert s[2] / s[0] < 1e-9
     # null spaces are the epipoles
-    e_a = canonical_homogeneous(cam_a.P @ camera_center(cam_b))
-    e_b = canonical_homogeneous(cam_b.P @ camera_center(cam_a))
+    e_a = canonical_homogeneous(cam_a.P @ cam_b.center)
+    e_b = canonical_homogeneous(cam_b.P @ cam_a.center)
     assert np.linalg.norm(F @ e_a) < 1e-9
     assert np.linalg.norm(e_b @ F) < 1e-9
 
@@ -193,16 +191,16 @@ def test_epiline_exact_correspondence(rng):
 def test_epiline_at_epipole_raises(rng):
     cam_a, cam_b = random_stereo_rig(rng)
     F = fundamental_matrix(cam_a, cam_b)
-    e_a = cam_a.P @ camera_center(cam_b)
+    e_a = cam_a.P @ cam_b.center
     with pytest.raises(ZeroLine):
         epiline(F, e_a[:2] / e_a[2])
 
 
 def test_epiline_skew_pattern_manual_multiply():
-    F = FundamentalMatrix(skew([0.0, 0.0, 1.0]))
+    F = normalize_fundamental(skew([0.0, 0.0, 1.0]))
     l = epiline(F, [1.0, 1.0])
     # manual multiply: normalized skew gives the 45-degree line through the origin
-    manual = F.matrix @ np.array([1.0, 1.0, 1.0])
+    manual = F @ np.array([1.0, 1.0, 1.0])
     manual /= np.hypot(manual[0], manual[1])
     assert np.allclose(l, manual, atol=1e-15)
     assert abs(l[2]) < 1e-15

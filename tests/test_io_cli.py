@@ -7,7 +7,7 @@ import stereowire.io as swio
 from stereowire.bspline import eval_curve_many, fit_curve, parameterize_arclength
 from stereowire.cli import main
 from stereowire.errors import ParseError, SchemaMismatch
-from stereowire.metrics import Episode
+from stereowire.metrics import Episode, curve_metrics
 from stereowire.rig import default_rig
 from stereowire.rod import synth_guidewire
 
@@ -251,6 +251,46 @@ def test_reconstruct_swapped_cameras_corrupts_result(tmp_path):
     # accepted=False would also be a rejection
 
 
+def reconstruct_both_ways(tmp_path, seed, noise):
+    """MaxED of a synth frame's (A, B) reconstruction to truth, and of (B, A) to (A, B)."""
+    out = synth_dir(tmp_path, seed=seed, noise=noise)
+    # view B's annotation relabelled as view A's, and the reverse
+    for src, dst, camera in (("annotation_b.json", "swap_a.json", "A"),
+                             ("annotation_a.json", "swap_b.json", "B")):
+        obj = json.loads((out / src).read_text())
+        obj["camera"] = camera
+        (out / dst).write_text(json.dumps(obj))
+
+    def reconstruct(cam_a, cam_b, ann_a, ann_b):
+        report = out / "report.json"
+        assert main(["reconstruct", "--camera-a", str(out / cam_a), "--camera-b", str(out / cam_b),
+                     "--annotations", str(out / ann_a), str(out / ann_b),
+                     "--out", str(report)]) == 0
+        return swio.load_report(report)["curve"]
+
+    ab = reconstruct("camera_a.json", "camera_b.json", "annotation_a.json", "annotation_b.json")
+    ba = reconstruct("camera_b.json", "camera_a.json", "swap_a.json", "swap_b.json")
+    truth = swio.load_curve(out / "truth_curve.json")
+    return curve_metrics(ab, truth).max_ed, curve_metrics(ba, ab).max_ed
+
+
+def test_noiseless_round_trip_every_seed_and_view_order(tmp_path):
+    # the end samples: each view's end point lies on the epiline of the
+    # other's only to the precision pixels are written with
+    for seed in range(10):
+        to_truth, swap = reconstruct_both_ways(tmp_path, seed, 0.0)
+        assert to_truth < 0.01, seed
+        assert swap < 0.01, seed
+
+
+def test_view_swap_moves_one_px_reconstruction_little(tmp_path):
+    # at 1 px the end sample one direction gap-fills is the one the other
+    # matches, which moves the curve by 0.68-0.93 mm over these seeds
+    for seed in range(10):
+        _, swap = reconstruct_both_ways(tmp_path, seed, 1.0)
+        assert swap < 1.25, seed
+
+
 # ------------------------------------------------------------- evaluate command
 
 def test_evaluate_identical_curves_all_zero(tmp_path, capsys):
@@ -406,3 +446,97 @@ def test_cli_malformed_input_single_line_diagnostic(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
+
+
+# ------------------------------------------------------------- mutation fuzz
+
+FUZZ_CASES = 200
+
+
+def _json_paths(node, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, value in children:
+        yield from _json_paths(value, path + (key,))
+
+
+def _replacement(rng, old):
+    values = [float("nan"), float("inf"), -1e308, 1e308, 10 ** 400, 0, -1, 0.5, 1e-300,
+              True, None, "1", [], {}, [old], [old, old]]
+    if type(old) in (int, float):
+        values += [old * rng.uniform(-2.0, 2.0), old + rng.normal(0.0, 1.0), -old]
+    return values[rng.integers(len(values))]
+
+
+def mutate_json(rng, text):
+    """One seeded mutation of a JSON file's text.
+
+    The text is truncated, or one node is replaced, dropped or repeated.
+    """
+    if rng.random() < 0.05:
+        return text[:rng.integers(len(text))]
+    doc = json.loads(text)
+    paths = list(_json_paths(doc))
+    path = paths[rng.integers(len(paths))]
+    if not path:
+        return json.dumps(_replacement(rng, doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, op = path[-1], rng.integers(3)
+    if op == 0:
+        parent[key] = _replacement(rng, parent[key])
+    elif op == 1:
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    else:
+        parent["extra_" + key] = parent[key]
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_frame(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    assert main(["synth", "--out", str(out), "--seed", "3", "--noise-px", "1.0"]) == 0
+    assert main(["reconstruct", "--camera-a", str(out / "camera_a.json"),
+                 "--camera-b", str(out / "camera_b.json"),
+                 "--annotations", str(out / "annotation_a.json"), str(out / "annotation_b.json"),
+                 "--out", str(out / "report.json")]) == 0
+    return out
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_cli_mutation_fuzz_keeps_the_exit_contract(fuzz_frame, tmp_path, capsys):
+    # every outcome is exit 0 with a silent stderr or exit 1 with one line;
+    # an uncaught exception here would have been a traceback
+    files = ("camera_a.json", "camera_b.json", "annotation_a.json", "annotation_b.json",
+             "truth_curve.json", "report.json")
+    rng = np.random.default_rng(2026)
+    broken = []
+    for case in range(FUZZ_CASES):
+        name = files[rng.integers(len(files))]
+        text = mutate_json(rng, (fuzz_frame / name).read_text())
+        paths = {f: fuzz_frame / f for f in files}
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+        if name == "truth_curve.json":
+            argv = ["evaluate", str(fuzz_frame / "truth_curve.json"), str(paths[name])]
+        elif name == "report.json":
+            argv = ["evaluate", str(paths[name])]
+        else:
+            argv = ["reconstruct", "--camera-a", str(paths["camera_a.json"]),
+                    "--camera-b", str(paths["camera_b.json"]),
+                    "--annotations", str(paths["annotation_a.json"]),
+                    str(paths["annotation_b.json"]), "--out", str(tmp_path / "out.json")]
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        if not ((rc == 0 and err == "") or
+                (rc == 1 and err.startswith("error:") and len(err.strip().splitlines()) == 1)):
+            broken.append((case, name, rc, err))
+    assert not broken

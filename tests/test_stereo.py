@@ -4,7 +4,7 @@ import pytest
 import stereowire as sw
 from stereowire.bspline import BSplineCurve, eval_curve_many, fit_curve, sample_uniform
 from stereowire.cameras import ProjectiveCamera, fundamental_matrix, project, project_many
-from stereowire.errors import NoMatches, NonMonotoneInput, PointAtInfinity
+from stereowire.errors import CoincidentCenters, NoMatches, NonMonotoneInput, PointAtInfinity
 from stereowire.rig import default_rig
 from stereowire.stereo import (
     ON_LINE_PX,
@@ -108,11 +108,11 @@ def line_through(point, angle):
 
 def test_intersect_line_through_end_points_returns_end_parameters(rng):
     pc = fit_curve(np.cumsum(rng.normal(size=(20, 2)), axis=0) * 10 + 500)
-    lo, hi = pc.spline.domain
+    lo, hi = pc.domain
     for angle in np.linspace(0.1, 3.0, 12):
         for t_end in (lo, hi):
-            end = eval_curve_many(pc.spline, [t_end])[0]
-            tangent = eval_curve_many(pc.spline.derivative, [t_end])[0]
+            end = eval_curve_many(pc, [t_end])[0]
+            tangent = eval_curve_many(pc.derivative, [t_end])[0]
             if abs(np.cos(angle) * tangent[0] + np.sin(angle) * tangent[1]) < 1e-3:
                 continue  # the line must cross the curve, not run along it
             roots = intersect_epiline(pc, line_through(end, angle))
@@ -128,7 +128,7 @@ def test_intersect_two_crossings_inside_one_old_dense_interval():
     roots = intersect_epiline(pc, line)
     assert len(roots) == 2
     assert roots[1] - roots[0] < 1.0 / 2047
-    dist = eval_curve_many(pc.spline, roots) @ line[:2] + line[2]
+    dist = eval_curve_many(pc, roots) @ line[:2] + line[2]
     assert np.abs(dist).max() < 1e-9
 
 
@@ -181,18 +181,18 @@ def test_intersect_matches_dense_sign_change_oracle():
     for _ in range(12):
         pts = np.cumsum(rng.normal(size=(int(rng.integers(6, 30)), 2)), axis=0) * 15 + 500
         pc = fit_curve(pts)
-        dense = sample_uniform(pc.spline, 200_000)
+        dense = sample_uniform(pc, 200_000)
         for _ in range(6):
             through = pts[rng.integers(len(pts))] + rng.normal(0.0, 5.0, 2)
             line = line_through(through, rng.uniform(0.0, np.pi))
             got = intersect_epiline(pc, line)
-            want = sign_change_roots(pc.spline, line, dense)
+            want = sign_change_roots(pc, line, dense)
             assert len(got) == len(want)
             if len(want):
                 assert np.abs(np.array(got) - want).max() < 1e-9
             total += len(want)
             # the scalar polish rounds as the array polish does, on every span
-            c = pc.spline.power_spans[3] @ line[:2]
+            c = pc.power_spans[3] @ line[:2]
             c[:, 0] += line[2]
             for a, b in zip(_unit_roots(c), array_polished_unit_roots(c)):
                 assert np.array_equal(a, b)
@@ -283,6 +283,17 @@ def test_triangulate_baseline_degeneracy():
     mid = 0.5 * (ca + cb)  # on the baseline: both rays coincide with it
     with pytest.raises(PointAtInfinity):
         triangulate_point(cam_a, cam_b, project(cam_a, mid), project(cam_b, mid))
+
+
+def test_same_camera_twice_has_coincident_centers():
+    # one rule decides coincidence for the fundamental matrix and for
+    # every triangulated point
+    cam, _ = default_rig()
+    x = project(cam, [1.0, 2.0, 3.0])
+    with pytest.raises(CoincidentCenters):
+        fundamental_matrix(cam, cam)
+    with pytest.raises(CoincidentCenters):
+        triangulate_point(cam, cam, x, x)
 
 
 def _ray_of(cam, px):
@@ -380,8 +391,8 @@ def test_reconstruct_unrelated_curve_rejected():
 def test_point_to_curve_distance_is_zero_on_curve(rng):
     pts = np.cumsum(rng.normal(size=(25, 2)), axis=0) * 10
     pc = fit_curve(pts)
-    _, on_curve = sample_uniform(pc.spline, 17)
-    d = point_to_curve_distances(pc.spline, on_curve)
+    _, on_curve = sample_uniform(pc, 17)
+    d = point_to_curve_distances(pc, on_curve)
     assert d.max() < 1e-9
 
 
@@ -420,7 +431,7 @@ def test_point_to_curve_distance_matches_dense_oracle():
     for _ in range(6):
         steps = rng.normal(size=(int(rng.integers(8, 25)), 2))
         steps[:, 0] = np.abs(steps[:, 0]) + 0.5  # x increases: no loop back near an end
-        spline = fit_curve(np.cumsum(steps, axis=0) * 20).spline
+        spline = fit_curve(np.cumsum(steps, axis=0) * 20)
         lo, hi = spline.domain
         ends = eval_curve_many(spline, [lo, hi])
         tangents = eval_curve_many(spline.derivative, [lo, hi])
