@@ -161,9 +161,15 @@ def cmd_relax(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors raise ParseError, so they end in the one-line diagnostic."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="stereowire",
-                                     description="Biplanar wire reconstruction pipeline")
+    parser = _Parser(prog="stereowire", description="Biplanar wire reconstruction pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic wire, cameras, annotations")
@@ -205,11 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _validate(args)
         return args.func(args)
-    except StereowireError as exc:
+    except (StereowireError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

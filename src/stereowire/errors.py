@@ -76,7 +76,7 @@ class NonUniformSpacing(StereowireError):
 # --- rod model ---
 
 class UnreachableConstraint(StereowireError):
-    """Pinned tip lies outside the rod's reachable length."""
+    """Pinned tip lies outside the set of points the rod's tip can reach."""
 
 
 # --- file I/O ---

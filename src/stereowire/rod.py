@@ -3,9 +3,10 @@
 A rod is a chain of equal-length rigid segments; segment k points along
 its unit quaternion's rotation of +z. Joint curvature is the rotation
 vector of q_i^-1 q_(i+1), bending energy is a quadratic penalty on its
-deviation from the per-joint rest curvature, and relaxation runs gradient
-descent with a backtracking line search over the joint rotation vectors
-(base pose fixed, optional tip pin via a ramped quadratic penalty).
+deviation from the per-joint rest curvature, and relaxation minimises it
+over the joint rotation vectors with the base pose fixed: in closed form
+for a free rod, and by KKT steps on the three rows of an optional tip pin,
+with halving backtracking on an exact-penalty merit.
 
 Twist is ignored: the rest curvature's component along the segment axis
 (+z in the segment frame) is zeroed at construction.
@@ -110,7 +111,7 @@ class RodState:
 
     def centerline(self) -> np.ndarray:
         """(n_segments + 1, 3) joint positions from base to tip."""
-        dirs = _segment_dirs(self.orientations)
+        dirs = _matrices(self.orientations)[:, :, 2]
         pts = np.vstack([np.zeros(3), np.cumsum(self.segment_length * dirs, axis=0)])
         return pts + self.base
 
@@ -179,13 +180,6 @@ def _orientations_from_joints(q0: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_dirs(q: np.ndarray) -> np.ndarray:
-    """R(q) e_z for every row quaternion."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    return np.stack([2 * (x * z + w * y), 2 * (y * z - w * x),
-                     1 - 2 * (x * x + y * y)], axis=1)
-
-
 def _matrices(q: np.ndarray) -> np.ndarray:
     """Batch rotation matrices, shape (n, 3, 3)."""
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
@@ -204,158 +198,135 @@ def _right_jacobians(kappa: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         c1 = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / t2)
         c2 = np.where(small, 1.0 / 6.0 - t2 / 120.0, (theta - np.sin(theta)) / (theta * t2))
-    n = kappa.shape[0]
-    K = np.zeros((n, 3, 3))
-    K[:, 0, 1] = -kappa[:, 2]
-    K[:, 0, 2] = kappa[:, 1]
-    K[:, 1, 0] = kappa[:, 2]
-    K[:, 1, 2] = -kappa[:, 0]
-    K[:, 2, 0] = -kappa[:, 1]
-    K[:, 2, 1] = kappa[:, 0]
+    K = np.cross(np.eye(3), kappa[:, None, :])  # cross-product matrices [kappa]x
     return np.eye(3) - c1[:, None, None] * K + c2[:, None, None] * (K @ K)
 
 
-def _tip(q0, kappa, base, L):
-    q = _orientations_from_joints(q0, kappa)
-    return base + L * _segment_dirs(q).sum(axis=0), q
+def _tip_and_jacobian(q0, kappa, base, L):
+    """Tip position and its (3, 3m) Jacobian over the joint rotation vectors.
 
-
-def _objective(kappa, q0, base, L, E, omega, weight, target):
-    diff = kappa - omega
-    f = 0.5 * E * float(np.sum(diff * diff))
-    if target is not None:
-        tip, _ = _tip(q0, kappa, base, L)
-        r = tip - target
-        f += 0.5 * weight * float(r @ r)
-    return f
-
-
-def _objective_and_grad(kappa, q0, base, L, E, omega, weight, target):
-    """Penalized energy and its analytic gradient over joint rotation vectors."""
-    diff = kappa - omega
-    f = 0.5 * E * float(np.sum(diff * diff))
-    grad = E * diff
-    if target is not None:
-        tip, q = _tip(q0, kappa, base, L)
-        r = tip - target
-        f += 0.5 * weight * float(r @ r)
-        g = weight * r
-        dirs = _segment_dirs(q)
-        # s_j = sum of segment directions beyond joint j
-        suffix = np.cumsum(dirs[::-1], axis=0)[::-1]
-        v = np.cross(suffix[1:], g)
-        Rt_v = np.einsum("jba,jb->ja", _matrices(q[1:]), v)
-        grad = grad + L * np.einsum("jba,jb->ja", _right_jacobians(kappa), Rt_v)
-    return f, grad
-
-
-def _descend(kappa, args, grad_tol, max_iter, trace=None):
-    """Monotone backtracking gradient descent, Barzilai-Borwein trial steps.
-
-    Rejected trials backtrack by safeguarded quadratic interpolation of the
-    1D slice, which settles the step far faster than plain halving on the
-    stiff tip-penalty stages. When given, trace collects the objective
-    value at every accepted step.
+    A change dk of joint j turns every later segment by R_(j+1) Jr(k_j) dk,
+    which moves the tip by that rotation crossed with the sum of the later
+    segments.
     """
-    f, g = _objective_and_grad(kappa, *args)
-    if trace is not None:
-        trace.append(f)
-    step = 1.0
-    prev_kappa = None
-    prev_g = None
-    it = 0
-    while it < max_iter:
-        gi = np.abs(g).max() if g.size else 0.0
-        if gi < grad_tol:
-            break
-        if prev_kappa is not None:
-            s = (kappa - prev_kappa).ravel()
-            y = (g - prev_g).ravel()
-            sy = s @ y
-            if sy > 0:
-                # alternate the two Barzilai-Borwein step lengths; the short
-                # BB2 step survives the monotone Armijo test more often
-                bb1 = s @ s / sy
-                yy = y @ y
-                bb2 = sy / yy if yy > 0 else bb1
-                step = min(max(bb2 if it % 2 else bb1, 1e-12), 1e8)
-        gnorm2 = float(np.sum(g * g))
-        accepted = False
-        alpha = step
-        for _ in range(60):
-            trial = kappa - alpha * g
-            f_t = _objective(trial, *args)
-            if f_t <= f - 1e-4 * alpha * gnorm2:
-                accepted = True
-                break
-            denom = 2.0 * (f_t - f + alpha * gnorm2)
-            if denom > 0:
-                alpha = min(max(alpha * alpha * gnorm2 / denom, 0.1 * alpha), 0.5 * alpha)
-            else:
-                alpha *= 0.5
-        it += 1
-        if not accepted:
-            break
-        prev_kappa, prev_g = kappa, g
-        kappa = trial
-        f, g = _objective_and_grad(kappa, *args)
-        step = alpha
-        if trace is not None:
-            trace.append(f)
-    gi = np.abs(g).max() if g.size else 0.0
-    return kappa, f, gi, it
+    rot = _matrices(_orientations_from_joints(q0, kappa))
+    # suffix[j] = sum of the segment directions (R e_z) from segment j to the tip
+    suffix = np.cumsum(rot[::-1, :, 2], axis=0)[::-1]
+    turn = rot[1:] @ _right_jacobians(kappa)
+    jac = L * np.cross(np.swapaxes(turn, 1, 2), suffix[1:, None, :])
+    return base + L * suffix[0], jac.reshape(-1, 3).T
+
+
+# sufficient-decrease fraction of the merit's slope, and the most halvings
+# one line search may take before the step counts as failed
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
+# a tip is summed from n chained rotations, so its rounding error is about
+# n^1.5 * L * eps; merit changes below _ROUNDING_ULPS times that are noise
+_ROUNDING_ULPS = 8.0
+
+
+def _kkt_step(kappa, q0, base, L, E, omega, target):
+    """Energy, pin residual c, its Jacobian J and the KKT step
+    d = (omega - kappa) - J^T mu at kappa.
+
+    mu solves J J^T mu = c + J (omega - kappa) by least squares, so the
+    linearised pin holds after the step. J J^T is singular on a straight
+    rod; the least-squares mu still gives the step along the reachable rows.
+    """
+    tip, jac = _tip_and_jacobian(q0, kappa, base, L)
+    c = tip - target
+    free = (omega - kappa).ravel()
+    mu = np.linalg.lstsq(jac @ jac.T, c + jac @ free, rcond=None)[0]
+    return 0.5 * E * float(free @ free), c, jac, (free - jac.T @ mu).reshape(kappa.shape)
+
+
+def _check_reachable(rod: RodState, target: np.ndarray) -> None:
+    # the base pose fixes the first segment, so the tip reaches the ball of
+    # radius (n - 1) L about the first joint, and for n = 2 only its sphere
+    reach = (rod.n_segments - 1) * rod.segment_length
+    first = rod.base + rod.segment_length * _matrices(rod.orientations[:1])[0, :, 2]
+    dist = float(np.linalg.norm(target - first))
+    if dist > reach + 1e-9 or (rod.n_segments == 2 and dist < reach - 1e-9):
+        bound = "exactly" if rod.n_segments == 2 else "at most"
+        raise UnreachableConstraint(f"tip target is {dist:.6g} mm from the first joint; "
+                                    f"the tip reaches {bound} {reach:.6g} mm")
 
 
 def relax(rod: RodState, tip_target=None, grad_tol: float = 1e-8,
-          max_iter: int = 10_000, penalty_weight0: float = 0.1,
-          outer_iterations: int = 5, energy_trace: list | None = None) -> RelaxResult:
-    """Minimize bending energy over the joint rotation vectors.
+          max_iter: int = 10_000, energy_trace: list | None = None) -> RelaxResult:
+    """Minimize bending energy over the joint rotation vectors, base pose fixed.
 
-    The base position and orientation stay fixed. A pinned tip is enforced
-    by a quadratic penalty whose weight starts at penalty_weight0 and is
-    multiplied by 10 for each of the outer iterations. Raises
-    UnreachableConstraint when the pin lies beyond the rod's total length;
-    non-convergence is reported through the returned flag (best iterate
-    kept), never by discarding progress. energy_trace, when given, receives
-    one list per penalty stage with the objective at every accepted step.
+    A free rod relaxes in closed form to kappa = omega (0 iterations). A
+    pinned tip, c = tip - target = 0, is met from joint_curvatures(rod) by
+    KKT steps of the energy (Hessian E I) under the linearised pin, each a
+    3x3 solve (Nocedal & Wright, ch. 18), halved until the merit
+    energy / rho + |c| falls by an Armijo fraction of its slope; rho grows
+    as far as a step needs it to descend (N&W 18.36). A step too small for
+    the merit to resolve through the tip's rounding counts if the next KKT
+    step is shorter. converged says whether the Lagrangian gradient at the
+    KKT multiplier (grad_inf = E |d|_inf) and the tip residual in mm fell
+    below grad_tol within max_iter steps. Raises UnreachableConstraint for a
+    pin outside the reachable set.
+
+    energy_trace, when given, receives one list per call: the merit at the
+    start and after every accepted step (free relax: the energy before and
+    after). The merit only falls as rho grows, so the list never rises by
+    more than the tip's rounding.
     """
     L = rod.segment_length
     E = rod.stiffness
     q0 = rod.orientations[0]
-    target = None
+    omega = rod.rest_curvature
+    trace: list = []
+    if energy_trace is not None:
+        energy_trace.append(trace)
+
+    iters, gi, resid = 0, 0.0, 0.0
+    kappa = omega
     if tip_target is not None:
         target = np.asarray(tip_target, dtype=float).reshape(3)
-        reach = rod.n_segments * L
-        if np.linalg.norm(target - rod.base) > reach + 1e-9:
-            raise UnreachableConstraint(
-                f"tip target at {np.linalg.norm(target - rod.base):.6g} mm exceeds reach {reach:.6g} mm")
-
-    kappa = joint_curvatures(rod)
-    total_iters = 0
-    stages = outer_iterations if target is not None else 1
-    weight = penalty_weight0
-    for stage in range(stages):
-        final = stage == stages - 1
-        # warm-up stages only rough in the solution; the full budget and
-        # tolerance are spent on the final penalty weight
-        stage_tol = grad_tol if final else max(grad_tol, 1e-5)
-        stage_iter = max_iter if final else min(max_iter, 2000)
-        args = (q0, rod.base, L, E, rod.rest_curvature, weight, target)
-        stage_trace: list | None = None
-        if energy_trace is not None:
-            stage_trace = []
-            energy_trace.append(stage_trace)
-        kappa, f, gi, it = _descend(kappa, args, stage_tol, stage_iter, trace=stage_trace)
-        total_iters += it
-        weight *= 10.0
+        _check_reachable(rod, target)
+        kappa = joint_curvatures(rod)
+        rounding = _ROUNDING_ULPS * rod.n_segments ** 1.5 * L * np.finfo(float).eps
+        rho = E * np.finfo(float).eps  # no weight is needed until a step asks for one
+        state = _kkt_step(kappa, q0, rod.base, L, E, omega, target)
+        while True:
+            f, c, jac, d = state
+            resid = float(np.linalg.norm(c))
+            gi = E * float(np.abs(d).max())
+            # the merit's slope along d is gd / rho - drop, where drop is the
+            # linearised fall of |c|: all of it unless J J^T is singular
+            gd = E * float(np.sum((kappa - omega) * d))
+            drop = resid - float(np.linalg.norm(c + jac @ d.ravel()))
+            if drop > 0:
+                rho = max(rho, (gd + 0.5 * E * float(np.sum(d * d))) / (0.5 * drop))
+            merit = f / rho + resid
+            trace.append(merit)
+            if (gi < grad_tol and resid < grad_tol) or iters == max_iter:
+                break
+            slope = min(0.0, gd / rho - drop)
+            alpha = 1.0
+            for _ in range(_MAX_HALVINGS):
+                trial = kappa + alpha * d
+                state = _kkt_step(trial, q0, rod.base, L, E, omega, target)
+                t_merit = state[0] / rho + float(np.linalg.norm(state[1]))
+                if (t_merit < merit + _ARMIJO * alpha * slope
+                        or (t_merit <= merit + rounding and E * np.abs(state[3]).max() < gi)):
+                    break
+                alpha *= 0.5
+            else:
+                break
+            iters += 1
+            kappa = trial
 
     q = _orientations_from_joints(q0, kappa)
-    out = RodState(L, q, rod.base, E, rod.rest_curvature)
-    resid = 0.0
-    if target is not None:
-        resid = float(np.linalg.norm(out.centerline()[-1] - target))
-    return RelaxResult(rod=out, energy=bending_energy(out), converged=gi < grad_tol,
-                       iterations=total_iters, grad_inf=gi, tip_residual=resid)
+    out = RodState(L, q, rod.base, E, omega)
+    energy = bending_energy(out)
+    if tip_target is None and energy_trace is not None:
+        trace += [bending_energy(rod), energy]
+    return RelaxResult(rod=out, energy=energy, converged=gi < grad_tol and resid < grad_tol,
+                       iterations=iters, grad_inf=gi, tip_residual=resid)
 
 
 def rest_curvature_field(n_segments: int, tip_angle: float, seed: int) -> np.ndarray:

@@ -24,13 +24,13 @@ from stereowire.rod import (
     relax,
     rotvec_to_quat,
 )
-from stereowire.rod import _objective_and_grad
+from stereowire.rod import _tip_and_jacobian
 from stereowire.stereo import pchip_fit
 
 from conftest import random_stereo_rig
 from test_bspline import de_boor_oracle, random_clamped_kv
 from test_metrics import frechet_memo_oracle
-from test_rod import random_unit_quat
+from test_rod import fd_jacobian, random_unit_quat
 
 
 def _report(n, name, detail):
@@ -184,20 +184,10 @@ def test_criterion_6_rod_model():
                        float(rng.uniform(0.5, 3.0)), rng.normal(0, 0.1, (n - 1, 3)))
         kappa = joint_curvatures(rod)
         target = rod.centerline()[-1] + rng.normal(0, 1.0, 3)
-        args = (rod.orientations[0], rod.base, rod.segment_length, rod.stiffness,
-                rod.rest_curvature, 2.0, target)
-        _, g = _objective_and_grad(kappa, *args)
-        h = 1e-6
-        g_fd = np.zeros_like(kappa)
-        for j in range(kappa.shape[0]):
-            for c in range(3):
-                kp = kappa.copy()
-                kp[j, c] += h
-                km = kappa.copy()
-                km[j, c] -= h
-                g_fd[j, c] = (_objective_and_grad(kp, *args)[0]
-                              - _objective_and_grad(km, *args)[0]) / (2 * h)
-        worst_rel = max(worst_rel, np.abs(g - g_fd).max() / np.abs(g_fd).max())
+        q0, base, L = rod.orientations[0], rod.base, rod.segment_length
+        _, jac = _tip_and_jacobian(q0, kappa, base, L)
+        J_fd = fd_jacobian(lambda k: _tip_and_jacobian(q0, k, base, L)[0] - target, kappa, h=1e-6)
+        worst_rel = max(worst_rel, np.abs(jac - J_fd).max() / np.abs(J_fd).max())
     assert worst_rel < 1e-5
 
     qs = [random_unit_quat(rng)]
@@ -212,7 +202,7 @@ def test_criterion_6_rod_model():
     single = RodState(1.0, np.array([q0, q1]), np.zeros(3), 2.0, np.zeros((1, 3)))
     closed_form = np.pi ** 2 / 16.0
     assert abs(bending_energy(single) - closed_form) < 1e-12
-    _report(6, "rod-model", f"grad rel err {worst_rel:.2e}, relaxed energy "
+    _report(6, "rod-model", f"tip Jacobian rel err {worst_rel:.2e}, relaxed energy "
             f"{res.energy:.2e}, single joint |dE| "
             f"{abs(bending_energy(single) - closed_form):.2e}")
 

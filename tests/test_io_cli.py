@@ -356,6 +356,56 @@ def test_relax_command_rejects_non_finite_tip_target(tmp_path, capsys, target):
     assert not (tmp_path / "pinned.json").exists()
 
 
+def test_relax_command_readme_example_converges(tmp_path, capsys):
+    rc = main(["relax", "--out", str(tmp_path / "relaxed.json"), "--n-segments", "30",
+               "--tip-angle", "0.8", "--seed", "4", "--tip-target", "10.0,0.0,50.0"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "converged=True" in out
+    assert float(out.split("tip_residual_mm=")[1]) < 1e-9
+
+
+# ------------------------------------------------------------- exit contract
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--camera-a", "a.json", "--camera-b", "b.json",
+     "--annotations", "x.json", "y.json", "--out", "r.json", "--samples", "abc"],
+    ["relax", "--n-segments", "8"],  # --out is required
+    ["frobnicate"],
+], ids=["bad-int", "missing-flag", "unknown-command"])
+def test_flag_errors_print_one_line(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["synth", "reconstruct"])
+def test_unwritable_out_prints_one_line(command, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "r.json"  # its parent is a regular file
+    if command == "synth":
+        argv = ["synth", "--out", str(out)]
+    else:
+        frame = synth_dir(tmp_path)
+        argv = ["reconstruct", "--camera-a", str(frame / "camera_a.json"),
+                "--camera-b", str(frame / "camera_b.json"),
+                "--annotations", str(frame / "annotation_a.json"),
+                str(frame / "annotation_b.json"), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def _mutate(field, value):
     def edit(obj):
         obj[field] = value

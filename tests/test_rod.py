@@ -15,7 +15,7 @@ from stereowire.rod import (
     straight_rod,
     synth_guidewire,
 )
-from stereowire.rod import _objective_and_grad
+from stereowire.rod import _tip_and_jacobian
 
 
 def random_unit_quat(rng):
@@ -122,17 +122,18 @@ def test_rest_curvature_axial_component_projected_out(rng):
 
 # ------------------------------------------------------------- gradients
 
-def fd_gradient(kappa, args, h=1e-6):
-    g = np.zeros_like(kappa)
+def fd_jacobian(residual, kappa, h=1e-6):
+    """Central differences of residual(kappa), one column per joint
+    rotation-vector component."""
+    cols = []
     for j in range(kappa.shape[0]):
         for c in range(3):
             kp = kappa.copy()
             kp[j, c] += h
             km = kappa.copy()
             km[j, c] -= h
-            g[j, c] = (_objective_and_grad(kp, *args)[0]
-                       - _objective_and_grad(km, *args)[0]) / (2 * h)
-    return g
+            cols.append((residual(kp) - residual(km)) / (2 * h))
+    return np.stack(cols, axis=1)
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -140,12 +141,20 @@ def test_gradient_matches_finite_differences(rng):
         rod = random_rod(rng, n=int(rng.integers(4, 9)))
         kappa = joint_curvatures(rod)
         target = rod.centerline()[-1] + rng.normal(0, 1.0, 3)
-        args = (rod.orientations[0], rod.base, rod.segment_length,
-                rod.stiffness, rod.rest_curvature, float(rng.uniform(0.5, 5.0)), target)
-        f, g = _objective_and_grad(kappa, *args)
-        g_fd = fd_gradient(kappa, args)
-        rel = np.abs(g - g_fd).max() / max(np.abs(g_fd).max(), 1e-12)
+        weight = float(rng.uniform(0.5, 5.0))
+        q0, base, L = rod.orientations[0], rod.base, rod.segment_length
+        tip, jac = _tip_and_jacobian(q0, kappa, base, L)
+        J_fd = fd_jacobian(lambda k: _tip_and_jacobian(q0, k, base, L)[0] - target, kappa, h=1e-6)
+        assert jac.shape == (3, kappa.size)
+        # all three rows of the pin residual's Jacobian
+        rel = np.abs(jac - J_fd).max() / max(np.abs(J_fd).max(), 1e-12)
         assert rel < 1e-5
+        # the Lagrangian gradient E (kappa - omega) + J^T lambda that relax
+        # drives to zero, at the multiplier lambda = weight * (tip - target)
+        lam = weight * (tip - target)
+        energy_grad = (rod.stiffness * (kappa - rod.rest_curvature)).ravel()
+        lag, lag_fd = energy_grad + jac.T @ lam, energy_grad + J_fd.T @ lam
+        assert np.abs(lag - lag_fd).max() / max(np.abs(lag_fd).max(), 1e-12) < 1e-5
 
 
 # ------------------------------------------------------------- relax
@@ -194,10 +203,13 @@ def test_relax_unreachable_tip():
         relax(rod, tip_target=np.array([0.0, 0.0, 6.0]))
 
 
-def test_relax_energy_monotone_per_accepted_step(rng):
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+def test_relax_energy_monotone_per_accepted_step(rng, pinned):
     rod = random_rod(rng)
+    target = rod.base + np.array([2.0, 1.0, rod.segment_length * 5]) if pinned else None
     trace: list = []
-    relax(rod, energy_trace=trace)
+    relax(rod, tip_target=target, energy_trace=trace)
+    assert len(trace) == 1 and len(trace[0]) >= 2
     for stage in trace:
         assert all(b <= a + 1e-12 for a, b in zip(stage, stage[1:]))
 
@@ -207,6 +219,42 @@ def test_relax_preserves_spacing(rng):
     res = relax(rod, tip_target=rod.base + np.array([2.0, 1.0, rod.segment_length * 5]))
     seg = np.linalg.norm(np.diff(res.rod.centerline(), axis=0), axis=1)
     assert np.abs(seg - rod.segment_length).max() < 1e-9
+
+
+@pytest.mark.parametrize("n,L,target", [
+    (30, 2.0, (0.0, 0.0, 2.0 - 58.05)),  # 56.05 mm from the base, 58.05 from the first joint
+    (2, 1.0, (0.0, 0.0, 1.5)),  # inside the sphere a one-joint rod's tip moves on
+], ids=["ball", "sphere"])
+def test_relax_unreachable_from_first_joint(n, L, target):
+    # the first segment is fixed by the base pose, so the reach is (n - 1) L
+    # about the first joint, not n L about the base
+    with pytest.raises(UnreachableConstraint):
+        relax(straight_rod(n, L), tip_target=np.array(target))
+
+
+def test_relax_never_reports_converged_off_target():
+    # a straight rod pinned on its own axis sits at a saddle: the first-order
+    # step is zero, and the tip is still 10 mm off
+    res = relax(straight_rod(10, 2.0), tip_target=np.array([0.0, 0.0, 10.0]))
+    assert not res.converged or res.tip_residual < 1e-8
+
+
+def test_relax_pinned_sweep_converges():
+    rng = np.random.default_rng(2025)
+    for _ in range(20):
+        n, L = int(rng.integers(8, 31)), 2.0
+        omega = rest_curvature_field(n, float(rng.uniform(0.0, 1.5)), int(rng.integers(1000)))
+        rod = straight_rod(n, L, rest_curvature=omega)
+        first = rod.base + np.array([0.0, 0.0, L])
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        target = first + rng.uniform(0.6, 0.9) * (n - 1) * L * direction
+        res = relax(rod, tip_target=target)
+        assert res.converged and res.grad_inf < 1e-8
+        assert res.tip_residual < 1e-9
+        assert np.linalg.norm(res.rod.centerline()[-1] - target) < 1e-9
+        seg = np.linalg.norm(np.diff(res.rod.centerline(), axis=0), axis=1)
+        assert np.abs(seg - L).max() < 1e-9
 
 
 # ------------------------------------------------------------- synthesis
