@@ -8,6 +8,7 @@ single-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -44,6 +45,9 @@ _ROT_Z_TO_Y = np.array([
 
 
 def _validate(args) -> None:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParseError(f"--{name.replace('_', '-')} must be finite")
     checks = (
         ("noise_px", lambda v: v >= 0, "--noise-px must be >= 0"),
         ("samples", lambda v: v >= 4, "--samples must be >= 4"),

@@ -79,6 +79,10 @@ class UnreachableConstraint(StereowireError):
     """Pinned tip lies outside the set of points the rod's tip can reach."""
 
 
+class CurvatureOverflow(StereowireError, ValueError):
+    """Rest curvature whose squared joint bends overflow a float."""
+
+
 # --- file I/O ---
 
 class ParseError(StereowireError, ValueError):

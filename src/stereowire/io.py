@@ -15,7 +15,7 @@ import numpy as np
 
 from .bspline import BSplineCurve, KnotVector
 from .cameras import ProjectiveCamera
-from .errors import ParseError, SchemaMismatch
+from .errors import ParseError, SchemaMismatch, StereowireError
 from .metrics import Episode
 from .spherical import SphericalChain
 
@@ -36,7 +36,11 @@ def _round_floats(obj):
 
 
 def dump_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(_round_floats(obj), indent=2) + "\n")
+    try:
+        text = json.dumps(_round_floats(obj), indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise StereowireError(f"{path}: {exc}") from exc
+    Path(path).write_text(text + "\n")
 
 
 def _load(path) -> dict:

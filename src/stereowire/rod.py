@@ -19,52 +19,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnreachableConstraint
+from .errors import CurvatureOverflow, UnreachableConstraint
 
 # ---------------------------------------------------------------------------
-# quaternion helpers (scalar-first convention: q = (w, x, y, z))
+# quaternion helpers (scalar-first: q = (w, x, y, z)), broadcasting over the
+# leading axes; exp and log maps as in Sola, arXiv:1711.02508, sec. 4.4
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
+    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    return np.stack([
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    ], axis=-1)
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    return np.asarray(q, dtype=float) / np.linalg.norm(q)
+    q = np.asarray(q, dtype=float)
+    return q / np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
 
 
 def rotvec_to_quat(v: np.ndarray) -> np.ndarray:
-    """Exponential map: rotation vector (axis * angle) to unit quaternion."""
+    """Exponential map: rotation vectors (axis * angle) to unit quaternions."""
     v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v)
-    if angle < 1e-12:
-        # sin(x/2)/x ~ 1/2 - x^2/48
-        half_sinc = 0.5 - angle * angle / 48.0
-        return quat_normalize(np.array([1.0, *(half_sinc * v)]))
-    axis = v / angle
-    return np.array([np.cos(angle / 2.0), *(np.sin(angle / 2.0) * axis)])
+    angle = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    small = angle < 1e-12
+    half = 0.5 * angle
+    # sin(x/2)/x ~ 1/2 - x^2/48 near zero, where cos(x/2) rounds to exactly 1
+    scale = np.where(small, 0.5 - angle * angle / 48.0, np.sin(half) / np.where(small, 1.0, angle))
+    return np.concatenate([np.cos(half), scale * v], axis=-1)
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     """Log map onto angle in [0, pi], sign fixed by a nonnegative scalar part."""
     q = quat_normalize(q)
-    if q[0] < 0:
-        q = -q
-    s = np.linalg.norm(q[1:])
-    if s < 1e-12:
-        return 2.0 * q[1:] / q[0]
-    angle = 2.0 * np.arctan2(s, q[0])
-    return angle * q[1:] / s
+    q = np.where(q[..., :1] < 0, -q, q)
+    w, v = q[..., :1], q[..., 1:]
+    s = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
+        return np.where(s < 1e-12, 2.0 * v / w, 2.0 * np.arctan2(s, w) * v / s)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +126,11 @@ def straight_rod(n_segments: int, segment_length: float, stiffness: float = 1.0,
 
 def relative_curvature(q_i: np.ndarray, q_next: np.ndarray) -> np.ndarray:
     """Rotation vector of q_i^-1 q_(i+1) (radians, angle in [0, pi])."""
-    return quat_to_rotvec(quat_mul(quat_conjugate(np.asarray(q_i, float)),
-                                   np.asarray(q_next, float)))
+    return quat_to_rotvec(quat_mul(quat_conjugate(q_i), q_next))
 
 
 def joint_curvatures(rod: RodState) -> np.ndarray:
-    q = rod.orientations
-    return np.array([relative_curvature(q[j], q[j + 1]) for j in range(rod.n_segments - 1)])
+    return relative_curvature(rod.orientations[:-1], rod.orientations[1:])
 
 
 def bending_energy(rod: RodState) -> float:
@@ -156,28 +153,19 @@ class RelaxResult:
 
 
 def _orientations_from_joints(q0: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """Serial quaternion chain q_(j+1) = q_j exp(kappa_j), renormalized."""
-    out = np.empty((kappa.shape[0] + 1, 4))
+    """Serial quaternion chain q_(j+1) = q_j exp(kappa_j), renormalized: one
+    batched exp map, then the product as a sequential scan in Python floats."""
     w, x, y, z = (float(v) for v in q0)
-    out[0] = (w, x, y, z)
-    for j in range(kappa.shape[0]):
-        vx, vy, vz = kappa[j]
-        angle = math.sqrt(vx * vx + vy * vy + vz * vz)
-        if angle < 1e-12:
-            hs = 0.5 - angle * angle / 48.0
-            bw, bx, by, bz = 1.0, hs * vx, hs * vy, hs * vz
-        else:
-            half = 0.5 * angle
-            s = math.sin(half) / angle
-            bw, bx, by, bz = math.cos(half), s * vx, s * vy, s * vz
+    out = [(w, x, y, z)]
+    for bw, bx, by, bz in rotvec_to_quat(kappa).tolist():
         nw = w * bw - x * bx - y * by - z * bz
         nx = w * bx + x * bw + y * bz - z * by
         ny = w * by - x * bz + y * bw + z * bx
         nz = w * bz + x * by - y * bx + z * bw
         inv = 1.0 / math.sqrt(nw * nw + nx * nx + ny * ny + nz * nz)
         w, x, y, z = nw * inv, nx * inv, ny * inv, nz * inv
-        out[j + 1] = (w, x, y, z)
-    return out
+        out.append((w, x, y, z))
+    return np.array(out)
 
 
 def _matrices(q: np.ndarray) -> np.ndarray:
@@ -334,11 +322,15 @@ def rest_curvature_field(n_segments: int, tip_angle: float, seed: int) -> np.nda
 
     Two random in-plane harmonics weighted toward the distal end (angled-
     tip flavour), scaled so the largest per-joint bend is
-    tip_angle / n_segments; the total turn never exceeds tip_angle.
+    tip_angle / n_segments; the total turn never exceeds tip_angle. Raises
+    CurvatureOverflow when the squared bends can overflow a float.
     """
     if n_segments < 2:
         raise ValueError("need at least 2 segments")
     n_joints = n_segments - 1
+    bend = abs(tip_angle) / n_segments  # the largest per-joint bend
+    if not math.isfinite(n_joints * bend * bend):
+        raise CurvatureOverflow(f"tip angle {tip_angle:g} rad: the squared joint bends overflow")
     omega = np.zeros((n_joints, 3))
     if tip_angle == 0.0:
         return omega
@@ -353,7 +345,7 @@ def rest_curvature_field(n_segments: int, tip_angle: float, seed: int) -> np.nda
     field *= (0.35 + 0.65 * x * x)[:, None]
     peak = np.linalg.norm(field, axis=1).max()
     if peak > 0:
-        field *= (abs(tip_angle) / n_segments) / peak
+        field *= bend / peak
     omega[:, :2] = field
     return omega
 

@@ -37,10 +37,10 @@ class SphericalChain:
         object.__setattr__(self, "offsets", offsets)
 
 
-def sph_to_cart(r: float, theta: float, phi: float) -> np.ndarray:
-    """(r sin(theta) cos(phi), r sin(theta) sin(phi), r cos(theta))."""
+def sph_to_cart(r: float, theta, phi) -> np.ndarray:
+    """(r sin(theta) cos(phi), r sin(theta) sin(phi), r cos(theta)) on a last axis."""
     st = np.sin(theta)
-    return np.array([r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)])
+    return np.stack([r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)], axis=-1)
 
 
 def cart_to_sph(v) -> tuple[float, float, float]:
@@ -76,11 +76,8 @@ def encode_chain(points) -> SphericalChain:
 
 def decode_chain(chain: SphericalChain) -> np.ndarray:
     """Integrate the angle steps from the tip; returns (n_offsets+1, 3) points."""
-    pts = np.empty((len(chain.offsets) + 1, 3))
-    pts[0] = chain.tip
-    for k, (theta, phi) in enumerate(chain.offsets):
-        pts[k + 1] = pts[k] + sph_to_cart(chain.r, theta, phi)
-    return pts
+    theta, phi = chain.offsets.T
+    return np.cumsum(np.vstack([chain.tip, sph_to_cart(chain.r, theta, phi)]), axis=0)
 
 
 def resample_uniform_spacing(points, spacing: float = DEFAULT_SPACING_MM) -> np.ndarray:

@@ -88,15 +88,13 @@ def pchip_fit(pairs) -> MonotoneInterpolant:
     if n == 2:
         d[:] = delta[0]
     else:
-        # interior: weighted harmonic mean of neighbouring secants,
-        # zero whenever either secant vanishes (flat stays flat)
-        for k in range(1, n - 1):
-            if delta[k - 1] == 0.0 or delta[k] == 0.0 or np.sign(delta[k - 1]) != np.sign(delta[k]):
-                d[k] = 0.0
-            else:
-                w1 = 2 * h[k] + h[k - 1]
-                w2 = h[k] + 2 * h[k - 1]
-                d[k] = (w1 + w2) / (w1 / delta[k - 1] + w2 / delta[k])
+        # interior: weighted harmonic mean of neighbouring secants, zero
+        # whenever either secant vanishes (flat stays flat); y is
+        # nondecreasing, so two nonzero secants share their sign
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore"):  # the flat joints, masked out
+            mean = (w1 + w2) / (w1 / delta[:-1] + w2 / delta[1:])
+        d[1:-1] = np.where((delta[:-1] != 0.0) & (delta[1:] != 0.0), mean, 0.0)
         d[0] = _edge_derivative(h[0], h[1], delta[0], delta[1])
         d[-1] = _edge_derivative(h[-1], h[-2], delta[-1], delta[-2])
     return MonotoneInterpolant(x.copy(), y.copy(), d)

@@ -6,7 +6,7 @@ import pytest
 import stereowire.io as swio
 from stereowire.bspline import eval_curve_many, fit_curve, parameterize_arclength
 from stereowire.cli import main
-from stereowire.errors import ParseError, SchemaMismatch
+from stereowire.errors import ParseError, SchemaMismatch, StereowireError
 from stereowire.metrics import Episode, curve_metrics
 from stereowire.rig import default_rig
 from stereowire.rod import synth_guidewire
@@ -372,11 +372,27 @@ def test_relax_command_readme_example_converges(tmp_path, capsys):
      "--annotations", "x.json", "y.json", "--out", "r.json", "--samples", "abc"],
     ["relax", "--n-segments", "8"],  # --out is required
     ["frobnicate"],
-], ids=["bad-int", "missing-flag", "unknown-command"])
-def test_flag_errors_print_one_line(argv, capsys):
+    ["synth", "--out", "w", "--noise-px", "inf"],
+    ["synth", "--out", "w", "--noise-px", "1e308"],  # finite, but the noisy pixels are not
+    ["relax", "--out", "c.json", "--tip-angle", "inf"],
+    ["synth", "--out", "w", "--tip-angle", "1e200"],  # finite, but its joint angles overflow
+    ["relax", "--out", "c.json", "--stiffness", "inf"],
+    ["relax", "--out", "c.json", "--segment-length", "inf"],
+], ids=["bad-int", "missing-flag", "unknown-command", "inf-noise", "huge-noise", "inf-tip-angle",
+        "huge-tip-angle", "inf-stiffness", "inf-segment-length"])
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_flag_errors_print_one_line(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the relative --out paths
     assert main(argv) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_dump_json_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "c.json"
+    with pytest.raises(StereowireError, match="not JSON compliant"):
+        swio.dump_json({"x": [1.0, float("inf")]}, path)
+    assert not path.exists()
 
 
 def test_help_still_exits_zero(capsys):

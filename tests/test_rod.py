@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from stereowire.errors import UnreachableConstraint
+from stereowire.errors import CurvatureOverflow, UnreachableConstraint
 from stereowire.rod import (
     RodState,
     bending_energy,
     joint_curvatures,
     quat_mul,
     quat_normalize,
+    quat_to_rotvec,
     relative_curvature,
     relax,
     rest_curvature_field,
@@ -71,6 +72,33 @@ def test_curvature_exp_log_round_trip(rng):
         assert np.linalg.norm(kappa) <= np.pi + 1e-12
         R_expected = quat_to_rotmat(q_i).T @ quat_to_rotmat(q_next)
         assert np.abs(rotmat_from_rotvec(kappa) - R_expected).max() < 1e-12
+
+
+def test_batched_helpers_equal_per_row_calls_bit_for_bit(rng):
+    # one batch of zero, sub-1e-12, ordinary, near-pi and past-pi rows; the
+    # last exponentiates to w < 0, which the log map flips
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    v = np.vstack([np.zeros(3), [3e-13, -2e-13, 1e-13], rng.normal(0, 0.5, (4, 3)),
+                   (np.pi - 1e-9) * axis, (np.pi + 0.5) * axis])
+    q = rotvec_to_quat(v)
+    assert q[-1, 0] < 0
+    # pairs whose relative rotation is zero, a sign flip (w = -1), near pi, or random
+    p = np.array([random_unit_quat(rng) for _ in v])
+    p[0], p[1] = q[0], -q[1]
+    p[2] = quat_mul(q[2], rotvec_to_quat(-(np.pi - 1e-9) * axis))
+    for batch, rows in ((rotvec_to_quat(v), [rotvec_to_quat(r) for r in v]),
+                        (quat_to_rotvec(q), [quat_to_rotvec(r) for r in q]),
+                        (quat_to_rotvec(2.0 * q), [quat_to_rotvec(2.0 * r) for r in q]),
+                        (relative_curvature(p, q), [relative_curvature(a, b) for a, b in zip(p, q)])):
+        assert batch.tobytes() == np.array(rows).tobytes()
+
+
+def test_joint_curvatures_equal_per_joint_calls_bit_for_bit(rng):
+    rod = random_rod(rng, n=12)
+    q = rod.orientations
+    rows = [relative_curvature(q[j], q[j + 1]) for j in range(rod.n_segments - 1)]
+    assert joint_curvatures(rod).tobytes() == np.array(rows).tobytes()
 
 
 # ------------------------------------------------------------- energy
@@ -284,3 +312,9 @@ def test_rest_field_bounded_by_tip_angle():
     mags = np.linalg.norm(omega, axis=1)
     assert mags.max() <= 1.2 / 40 + 1e-12
     assert mags.sum() <= 1.2 + 1e-9
+
+
+@pytest.mark.parametrize("tip_angle", [1e200, -1e155, np.inf, np.nan])
+def test_rest_field_refuses_overflowing_bends(tip_angle):
+    with pytest.raises(CurvatureOverflow):
+        rest_curvature_field(50, tip_angle, seed=0)

@@ -96,6 +96,17 @@ def test_decode_single_step():
     assert np.allclose(decode_chain(ch), [[0, 0, 0], [1, 0, 0]], atol=1e-15)
 
 
+def test_decode_equals_step_by_step_sum(rng):
+    n = 60
+    ch = SphericalChain(tip=rng.normal(size=3), r=1.3,
+                        offsets=np.column_stack([rng.uniform(0, np.pi, n),
+                                                 rng.uniform(-np.pi, np.pi, n)]))
+    pts = [ch.tip]
+    for theta, phi in ch.offsets:
+        pts.append(pts[-1] + sph_to_cart(ch.r, theta, phi))
+    assert decode_chain(ch).tobytes() == np.array(pts).tobytes()
+
+
 def test_decode_length_identity(rng):
     n = 40
     ch = SphericalChain(tip=rng.normal(size=3), r=1.7,

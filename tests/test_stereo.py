@@ -65,6 +65,23 @@ def test_pchip_monotone_on_random_data(rng):
         assert np.abs(f(x) - y).max() < 1e-12  # interpolates the pairs
 
 
+def test_pchip_interior_slopes_match_loop_oracle(rng):
+    # the Fritsch-Carlson weighted harmonic mean, one interior knot at a time
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        x = np.cumsum(rng.uniform(0.01, 2.0, n))
+        y = np.cumsum(rng.exponential(1.0, n) * (rng.random(n) < 0.6))  # flat runs
+        h, delta = np.diff(x), np.diff(y) / np.diff(x)
+        expect = []
+        for k in range(1, n - 1):
+            if delta[k - 1] == 0.0 or delta[k] == 0.0:
+                expect.append(0.0)
+            else:
+                w1, w2 = 2 * h[k] + h[k - 1], h[k] + 2 * h[k - 1]
+                expect.append((w1 + w2) / (w1 / delta[k - 1] + w2 / delta[k]))
+        assert pchip_fit(np.column_stack([x, y])).d[1:-1].tobytes() == np.array(expect).tobytes()
+
+
 def test_pchip_rejects_non_monotone():
     with pytest.raises(NonMonotoneInput):
         pchip_fit([(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)])
