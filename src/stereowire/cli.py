@@ -8,6 +8,7 @@ single-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -51,7 +52,7 @@ def _validate(args) -> None:
     checks = (
         ("noise_px", lambda v: v >= 0, "--noise-px must be >= 0"),
         ("samples", lambda v: v >= 4, "--samples must be >= 4"),
-        ("n_segments", lambda v: v >= 2, "--n-segments must be >= 2"),
+        ("n_segments", lambda v: v >= 3, "--n-segments must be >= 3"),  # the cubic fit needs 4 points
         ("annotation_points", lambda v: v >= 4, "--annotation-points must be >= 4"),
         ("segment_length", lambda v: v > 0, "--segment-length must be positive"),
         ("stiffness", lambda v: v > 0, "--stiffness must be positive"),
@@ -172,6 +173,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache  # one parser per process: parsing leaves no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stereowire", description="Biplanar wire reconstruction pipeline")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -83,6 +83,11 @@ class CurvatureOverflow(StereowireError, ValueError):
     """Rest curvature whose squared joint bends overflow a float."""
 
 
+class RodOutOfRange(StereowireError, ValueError):
+    """Rod whose total length, or whose pinned relax's energy scale, leaves
+    the float range."""
+
+
 # --- file I/O ---
 
 class ParseError(StereowireError, ValueError):

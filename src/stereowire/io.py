@@ -1,8 +1,11 @@
 """Strict JSON file schemas for cameras, curves, annotations, reports, episodes.
 
-Every loader rejects unknown fields by name. All numeric output is routed
-through a 9-significant-digit formatter with a '.' decimal separator so
-repeated runs produce byte-identical files regardless of locale.
+Every loader rejects unknown fields by name. Every file is written as
+json.dumps(obj, indent=2) would lay it out, with each float written as the
+shortest repr of its 9-significant-digit rounding and a '.' decimal
+separator, so repeated runs produce byte-identical files regardless of
+locale. The writer formats all floats of a list in one '%.9g' pass and
+takes repr only for the few tokens whose layout differs from repr's.
 """
 
 from __future__ import annotations
@@ -25,19 +28,65 @@ def format_float(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
-def _round_floats(obj):
+def _float_tokens(values: tuple) -> list[str]:
+    """JSON text of each float: the repr of its 9-significant-digit rounding.
+
+    One '%.9g' pass formats them all. A token with a '.' and no exponent is
+    already that repr: it is a normal number printed positionally by both,
+    and no two decimals of at most 15 significant digits round to the same
+    normal double, so repr finds no shorter digits. Any other token (100,
+    -0, 1e+12, a subnormal) goes through repr. Raises ValueError, as json
+    does, on a non-finite value.
+    """
+    text = "%.9g," * len(values) % values
+    if "n" in text:  # inf, nan
+        bad = next(t for t in text.split(",") if "n" in t)
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(bad)!r}")
+    return [t if "." in t and "e" not in t else repr(float(t))
+            for t in text[:-1].split(",")]
+
+
+def _key(key) -> str:
+    # json's own key conversion: numbers, booleans and None become strings
+    return json.dumps(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
+
+
+def _encode(obj, pad: str) -> str:
+    """obj as json.dumps(obj, indent=2) lays it out at the line prefix pad
+    (a newline and the enclosing indentation), floats by _float_tokens.
+
+    An all-float list takes one format pass; a list of equally long
+    all-float rows, one more '%' over a repeated row template.
+    """
     if isinstance(obj, float):
-        return format_float(obj)
+        return _float_tokens((obj,))[0]
+    inner = pad + "  "
+    sep = "," + inner
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "{}"
+        items = sep.join(f"{_key(k)}: {_encode(v, inner)}" for k, v in obj.items())
+        return "{" + inner + items + pad + "}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]"
+    kinds = set(map(type, obj))
+    cells = tuple(chain.from_iterable(obj)) if kinds <= {list, tuple} else ()
+    if kinds == {float}:
+        body = sep.join(_float_tokens(tuple(obj)))
+    elif set(map(type, cells)) == {float} and len(set(map(len, obj))) == 1:
+        cell = inner + "  "
+        row = "[" + cell + ("," + cell).join(["%s"] * len(obj[0])) + inner + "]"
+        body = sep.join([row] * len(obj)) % tuple(_float_tokens(cells))
+    else:
+        body = sep.join(_encode(v, inner) for v in obj)
+    return "[" + inner + body + pad + "]"
 
 
 def dump_json(obj, path) -> None:
     try:
-        text = json.dumps(_round_floats(obj), indent=2, allow_nan=False)
+        text = _encode(obj, "\n")
     except ValueError as exc:
         raise StereowireError(f"{path}: {exc}") from exc
     Path(path).write_text(text + "\n")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvatureOverflow, UnreachableConstraint
+from .errors import CurvatureOverflow, RodOutOfRange, UnreachableConstraint
 
 # ---------------------------------------------------------------------------
 # quaternion helpers (scalar-first: q = (w, x, y, z)), broadcasting over the
@@ -89,6 +89,9 @@ class RodState:
             q = q / norms[:, None]
         if not self.segment_length > 0:
             raise ValueError("segment_length must be positive")
+        if not math.isfinite(float(self.segment_length) * q.shape[0]):
+            raise RodOutOfRange(f"a rod of {q.shape[0]} segments of {self.segment_length:g} mm "
+                                "is longer than a float can hold")
         if not self.stiffness > 0:
             raise ValueError("stiffness must be positive")
         omega = np.asarray(self.rest_curvature, dtype=float)
@@ -255,7 +258,8 @@ def relax(rod: RodState, tip_target=None, grad_tol: float = 1e-8,
     step is shorter. converged says whether the Lagrangian gradient at the
     KKT multiplier (grad_inf = E |d|_inf) and the tip residual in mm fell
     below grad_tol within max_iter steps. Raises UnreachableConstraint for a
-    pin outside the reachable set.
+    pin outside the reachable set, and RodOutOfRange when the stiffness
+    underflows rho or the start energy over rho overflows.
 
     energy_trace, when given, receives one list per call: the merit at the
     start and after every accepted step (free relax: the energy before and
@@ -279,6 +283,10 @@ def relax(rod: RodState, tip_target=None, grad_tol: float = 1e-8,
         rounding = _ROUNDING_ULPS * rod.n_segments ** 1.5 * L * np.finfo(float).eps
         rho = E * np.finfo(float).eps  # no weight is needed until a step asks for one
         state = _kkt_step(kappa, q0, rod.base, L, E, omega, target)
+        # the merit divides the energy by rho: both must stay in float range
+        if not (rho > 0 and math.isfinite(state[0] / float(rho))):
+            raise RodOutOfRange(f"stiffness {E:g} and the rest curvature put the pinned "
+                                "relax's energy scale out of float range")
         while True:
             f, c, jac, d = state
             resid = float(np.linalg.norm(c))

@@ -1,11 +1,13 @@
 import json
+import random
+import struct
 
 import numpy as np
 import pytest
 
 import stereowire.io as swio
 from stereowire.bspline import eval_curve_many, fit_curve, parameterize_arclength
-from stereowire.cli import main
+from stereowire.cli import build_parser, main
 from stereowire.errors import ParseError, SchemaMismatch, StereowireError
 from stereowire.metrics import Episode, curve_metrics
 from stereowire.rig import default_rig
@@ -114,6 +116,80 @@ def test_float_formatting_nine_significant_digits():
     assert swio.format_float(np.pi) == float(f"{np.pi:.9g}")
     assert swio.format_float(0.1) == 0.1
     assert swio.format_float(123456789012.0) == 1.23456789e11
+
+
+def _round_floats(obj):
+    if isinstance(obj, float):
+        return swio.format_float(obj)
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def oracle_json(obj) -> str:
+    """The writer's reference: round every float, then json's own layout."""
+    return json.dumps(_round_floats(obj), indent=2, allow_nan=False) + "\n"
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -3.0, 100.0, 123456789.0, 5e-324, -5e-324, 1e-310,
+    2.2250738585072014e-308, 2.225073858507201e-308, 1e-308, 1e-4, 1e-5, 0.1,
+    1e9, 1.5e12, 1e15, 1e16, 9.9999999951e15, 1.7976931348623157e308,
+    -1.7976931348623157e308, 999999999.5, 9.9999999951e-5, 99999999.95,
+]
+
+
+def _random_float(rng):
+    pick = rng.random()
+    if pick < 0.3:
+        return rng.choice(EDGE_FLOATS)
+    if pick < 0.5:  # any finite bit pattern, subnormals included
+        while True:
+            x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            if np.isfinite(x):
+                return x
+    if pick < 0.7:
+        return float(rng.randint(-10**9, 10**9)) * 10.0 ** rng.randint(-12, 18)
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-330.0, 308.0)
+
+
+def _random_object(rng, depth=0):
+    pick = rng.random()
+    if depth > 3 or pick < 0.3:
+        return rng.choice([_random_float(rng), _random_float(rng), rng.randint(-9, 9),
+                           True, False, None, "tip", "µ", np.float64(_random_float(rng))])
+    if pick < 0.5:
+        return [_random_float(rng) for _ in range(rng.randint(0, 8))]
+    if pick < 0.65:
+        width = rng.randint(0, 4)
+        return [[_random_float(rng) for _ in range(width)] for _ in range(rng.randint(0, 5))]
+    if pick < 0.8:
+        return [_random_object(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {f"k{i}": _random_object(rng, depth + 1) for i in range(rng.randint(0, 4))}
+
+
+def _random_array(rng, shape):
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 308, size=shape)
+    integral = rng.random(shape) < 0.2
+    values[integral] = rng.integers(-10**9, 10**9, size=integral.sum()) * 1.0
+    values[rng.random(shape) < 0.05] = -0.0
+    return values
+
+
+def test_dump_json_writes_the_oracles_bytes(tmp_path, rng):
+    seeded = random.Random(7)
+    objects = [_random_object(seeded) for _ in range(3000)]
+    objects += [{"values": _random_array(rng, shape).tolist()}
+                for shape in [(1,), (300,), (1, 1), (64, 2), (200, 3), (5, 7)]]
+    objects += [EDGE_FLOATS, [[x, -x] for x in EDGE_FLOATS], {"P": [EDGE_FLOATS[:4]] * 3},
+                [[1.0, 2.0], [3.0]], [[], []], ([0.5, 2.0], (1.5, 2.5)),
+                {1.5: [2.0], 3: None, True: "x", None: -0.0}]
+    path = tmp_path / "x.json"
+    for obj in objects:
+        swio.dump_json(obj, path)
+        assert path.read_text() == oracle_json(obj)
 
 
 # ------------------------------------------------------------- synth command
@@ -378,14 +454,56 @@ def test_relax_command_readme_example_converges(tmp_path, capsys):
     ["synth", "--out", "w", "--tip-angle", "1e200"],  # finite, but its joint angles overflow
     ["relax", "--out", "c.json", "--stiffness", "inf"],
     ["relax", "--out", "c.json", "--segment-length", "inf"],
+    ["relax", "--out", "c.json", "--segment-length", "1e308"],  # finite, but the rod is not
 ], ids=["bad-int", "missing-flag", "unknown-command", "inf-noise", "huge-noise", "inf-tip-angle",
-        "huge-tip-angle", "inf-stiffness", "inf-segment-length"])
+        "huge-tip-angle", "inf-stiffness", "inf-segment-length", "huge-segment-length"])
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_flag_errors_print_one_line(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the relative --out paths
     assert main(argv) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["synth", "--out", "w", "--n-segments", "2"], "--n-segments must be >= 3"),
+    (["relax", "--out", "c.json", "--n-segments", "2"], "--n-segments must be >= 3"),
+    (["relax", "--out", "c.json", "--n-segments", "5", "--stiffness", "1e-320",
+      "--tip-angle", "1", "--tip-target", "1,0,7"], "out of float range"),
+    (["relax", "--out", "c.json", "--tip-angle=1e154", "--n-segments", "5",
+      "--tip-target", "0,0,4"], "out of float range"),
+    (["synth", "--out", "w", "--segment-length", "1e308"], "longer than a float"),
+], ids=["synth-2-segments", "relax-2-segments", "subnormal-stiffness", "huge-rest-bend",
+        "synth-huge-segment-length"])
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_rod_flag_errors_name_the_cause(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "c.json").exists() and not (tmp_path / "w" / "truth_curve.json").exists()
+
+
+def test_cached_parser_behaves_as_a_fresh_one(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    fresh = build_parser.__wrapped__()
+    out = synth_dir(tmp_path)
+    truth = str(out / "truth_curve.json")
+    capsys.readouterr()
+
+    assert main(["evaluate", truth, truth, "--samples", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    assert main(["evaluate", truth, truth]) == 0
+    assert capsys.readouterr().out == "max_ed_mm,mete_mm,mers_mm,frechet_mm\n0,0,0,0\n"
+    assert vars(build_parser().parse_args(["evaluate", truth])) == \
+        vars(fresh.parse_args(["evaluate", truth]))
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == fresh.format_help()
 
 
 def test_dump_json_refuses_non_finite_values(tmp_path):

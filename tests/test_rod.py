@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stereowire.errors import CurvatureOverflow, UnreachableConstraint
+from stereowire.errors import CurvatureOverflow, RodOutOfRange, UnreachableConstraint
 from stereowire.rod import (
     RodState,
     bending_energy,
@@ -318,3 +318,15 @@ def test_rest_field_bounded_by_tip_angle():
 def test_rest_field_refuses_overflowing_bends(tip_angle):
     with pytest.raises(CurvatureOverflow):
         rest_curvature_field(50, tip_angle, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rod_out_of_float_range_is_refused_before_any_warning():
+    with pytest.raises(RodOutOfRange):
+        straight_rod(50, 1e308)  # each segment is finite, the rod is not
+    subnormal = straight_rod(5, 2.0, 1e-320, rest_curvature_field(5, 1.0, 0))
+    with pytest.raises(RodOutOfRange):
+        relax(subnormal, tip_target=[1.0, 0.0, 7.0])  # rho = E eps underflows to 0
+    steep = straight_rod(5, 2.0, 1.0, rest_curvature_field(5, 1e154, 0))
+    with pytest.raises(RodOutOfRange):
+        relax(steep, tip_target=[0.0, 0.0, 4.0])  # energy / rho overflows
