@@ -15,7 +15,6 @@ from .bspline import (
     BSplineCurve,
     KnotVector,
     basis,
-    eval_curve,
     fit_curve,
     parameterize_arclength,
     sample_uniform,
@@ -26,7 +25,6 @@ from .cameras import (
     calibrate_dlt,
     epiline,
     fundamental_matrix,
-    project,
     skew,
 )
 from .metrics import (

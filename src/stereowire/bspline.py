@@ -28,6 +28,7 @@ from .errors import (
 )
 
 DEDUP_TOL = 1e-9
+FIT_DEGREE = 3  # every fitted curve is a cubic
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,13 +70,13 @@ class KnotVector:
         return float(self.knots[self.degree]), float(self.knots[self.m - self.degree])
 
 
-def clamped_uniform_knots(n_ctrl: int, degree: int, t0: float = 0.0, t1: float = 1.0) -> KnotVector:
-    """Clamped knot vector with uniformly spaced interior knots."""
+def clamped_uniform_knots(n_ctrl: int, degree: int) -> KnotVector:
+    """Clamped knot vector on [0, 1] with uniformly spaced interior knots."""
     p = degree
     if n_ctrl < p + 1:
         raise ValueError("need at least degree+1 control points")
-    interior = np.linspace(t0, t1, n_ctrl - p + 1)[1:-1]
-    knots = np.concatenate([np.full(p + 1, t0), interior, np.full(p + 1, t1)])
+    interior = np.linspace(0.0, 1.0, n_ctrl - p + 1)[1:-1]
+    knots = np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
     return KnotVector(knots, p)
 
 
@@ -216,11 +217,6 @@ class BSplineCurve:
         return lo, hi, s - p, np.stack(coef, axis=1)
 
 
-def eval_curve(curve: BSplineCurve, t: float) -> np.ndarray:
-    """Point on the curve at parameter t; raises OutOfDomain outside it."""
-    return eval_curve_many(curve, [t])[0]
-
-
 def eval_curve_many(curve: BSplineCurve, ts: np.ndarray) -> np.ndarray:
     """(n, dim) points at an array of parameters.
 
@@ -243,11 +239,11 @@ def eval_curve_many(curve: BSplineCurve, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def dedupe_points(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Drop each vertex within tol of the last vertex kept before it.
+def dedupe_points(points: np.ndarray) -> np.ndarray:
+    """Drop each vertex within DEDUP_TOL of the last vertex kept before it.
 
     The consecutive gaps settle every vertex whose predecessor is kept in
-    one array call; from a gap of at most tol a loop walks on, measuring
+    one array call; from a gap of at most DEDUP_TOL a loop walks on, measuring
     from the last kept vertex, until it keeps a vertex again.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -256,14 +252,15 @@ def dedupe_points(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
         return points
     # an overflowing gap is inf, which is kept
     with np.errstate(over="ignore", invalid="ignore"):
-        keep = np.concatenate([[True], np.linalg.norm(np.diff(points, axis=0), axis=-1) > tol])
+        gaps = np.linalg.norm(np.diff(points, axis=0), axis=-1)
+        keep = np.concatenate([[True], gaps > DEDUP_TOL])
         resume = 0
         for j in np.flatnonzero(~keep).tolist():
             if j < resume:
                 continue
             last, i = j - 1, j + 1  # j - 1 is kept: a walk ends on a kept vertex
             while i < n:
-                keep[i] = np.linalg.norm(points[i] - points[last], axis=-1) > tol
+                keep[i] = np.linalg.norm(points[i] - points[last], axis=-1) > DEDUP_TOL
                 if keep[i]:
                     break
                 i += 1
@@ -293,16 +290,17 @@ def parameterize_arclength(points) -> np.ndarray:
     return u
 
 
-def fit_curve(polyline, degree: int = 3) -> BSplineCurve:
-    """Interpolating B-spline through a polyline at its arclength parameters.
+def fit_curve(polyline) -> BSplineCurve:
+    """Interpolating cubic B-spline through a polyline at its arclength parameters.
 
     Consecutive duplicate vertices are removed first (tol 1e-9). Returns a
     BSplineCurve of the input's dimension. Raises TooFewPoints below
-    degree+1 distinct vertices and SolveFailure if the collocation system
+    4 distinct vertices and SolveFailure if the collocation system
     cannot reproduce the vertices to 1e-9.
     """
     pts = dedupe_points(polyline)
     n = len(pts)
+    degree = FIT_DEGREE
     if n < degree + 1:
         raise TooFewPoints(f"need >= {degree + 1} distinct points, got {n}")
     u = parameterize_arclength(pts)

@@ -101,11 +101,6 @@ def normalize_fundamental(F: np.ndarray) -> np.ndarray:
     return F
 
 
-def project(cam: ProjectiveCamera, X) -> np.ndarray:
-    """Project one 3D point (mm) to pixel coordinates (see project_many)."""
-    return project_many(cam, np.reshape(X, (1, 3)))[0]
-
-
 def project_many(cam: ProjectiveCamera, X: np.ndarray) -> np.ndarray:
     """Project an (n, 3) array of points (mm) to (n, 2) px.
 

@@ -74,8 +74,7 @@ def cmd_synth(args) -> int:
     else:
         cam_a, cam_b = (_rounded_camera(c) for c in default_rig())
 
-    wire = rod.synth_guidewire(args.n_segments, args.segment_length,
-                               args.tip_angle, args.seed, args.stiffness)
+    wire = rod.synth_guidewire(args.n_segments, args.segment_length, args.tip_angle, args.seed)
     wire = wire @ _ROT_Z_TO_Y.T
     wire = wire[::-1]  # store tip-first
     wire = wire - wire.mean(axis=0)
@@ -103,8 +102,6 @@ def cmd_synth(args) -> int:
 def cmd_reconstruct(args) -> int:
     cam_a = io.load_camera(args.camera_a)
     cam_b = io.load_camera(args.camera_b)
-    if len(args.annotations) != 2:
-        raise ParseError("reconstruct needs exactly two annotation files")
     parsed = [io.load_annotation(p) for p in args.annotations]
     by_cam = {camera: (frame, pts) for frame, camera, pts in parsed}
     if set(by_cam) != {"A", "B"}:
@@ -185,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment-length", type=float, default=2.0)
     p.add_argument("--n-segments", type=int, default=50)
     p.add_argument("--tip-angle", type=float, default=1.0)
-    p.add_argument("--stiffness", type=float, default=1.0)
     p.add_argument("--annotation-points", type=int, default=64)
     p.add_argument("--camera-a", help="optional camera file overriding the built-in rig")
     p.add_argument("--camera-b", help="optional camera file overriding the built-in rig")

@@ -127,12 +127,12 @@ def curve_metrics(pred: BSplineCurve, truth: BSplineCurve, n: int = 64) -> Curve
     )
 
 
-def reward(h, g, delta: float = GOAL_RADIUS_MM) -> float:
-    """Terminal reward inside the goal ball, negative distance outside."""
+def reward(h, g) -> float:
+    """Terminal reward inside the GOAL_RADIUS_MM ball, negative distance outside."""
     h = np.asarray(h, dtype=float).reshape(3)
     g = np.asarray(g, dtype=float).reshape(3)
     d = float(np.linalg.norm(h - g))
-    return TERMINAL_REWARD if d <= delta else -d
+    return TERMINAL_REWARD if d <= GOAL_RADIUS_MM else -d
 
 
 def force_magnitude(f) -> float:

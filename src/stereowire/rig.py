@@ -36,10 +36,7 @@ def _camera_at_yaw(alpha: float, focal: float, image_size: tuple[int, int],
     return ProjectiveCamera(K @ np.column_stack([R, t]), image_size)
 
 
-def default_rig(focal: float = FOCAL_PX, image_size: tuple[int, int] = IMAGE_SIZE,
-                range_mm: float = RANGE_MM,
-                half_vergence: float = HALF_VERGENCE_RAD) -> tuple[ProjectiveCamera, ProjectiveCamera]:
+def default_rig() -> tuple[ProjectiveCamera, ProjectiveCamera]:
     """Cameras A and B of the built-in stereo rig."""
-    cam_a = _camera_at_yaw(-half_vergence, focal, image_size, range_mm)
-    cam_b = _camera_at_yaw(+half_vergence, focal, image_size, range_mm)
-    return cam_a, cam_b
+    return tuple(_camera_at_yaw(yaw, FOCAL_PX, IMAGE_SIZE, RANGE_MM)
+                 for yaw in (-HALF_VERGENCE_RAD, HALF_VERGENCE_RAD))

@@ -6,7 +6,8 @@ vector of q_i^-1 q_(i+1), bending energy is a quadratic penalty on its
 deviation from the per-joint rest curvature, and relaxation minimises it
 over the joint rotation vectors with the base pose fixed: in closed form
 for a free rod, and by KKT steps on the three rows of an optional tip pin,
-with halving backtracking on an exact-penalty merit.
+with halving backtracking on an exact-penalty merit. Both run at unit
+stiffness: the stiffness scales the energy, not its minimiser.
 
 Twist is ignored: the rest curvature's component along the segment axis
 (+z in the segment frame) is zeroed at construction.
@@ -94,12 +95,9 @@ class RodState:
                                 "is longer than a float can hold")
         if not self.stiffness > 0:
             raise ValueError("stiffness must be positive")
-        omega = np.asarray(self.rest_curvature, dtype=float)
-        if omega.ndim == 1:
-            omega = np.tile(omega.reshape(1, 3), (q.shape[0] - 1, 1))
+        omega = np.array(self.rest_curvature, dtype=float)
         if omega.shape != (q.shape[0] - 1, 3):
             raise ValueError("rest_curvature must be one 3-vector per joint")
-        omega = omega.copy()
         omega[:, 2] = 0.0  # twist ignored: axial rest component projected out
         object.__setattr__(self, "segment_length", float(self.segment_length))
         object.__setattr__(self, "orientations", q)
@@ -119,12 +117,12 @@ class RodState:
 
 
 def straight_rod(n_segments: int, segment_length: float, stiffness: float = 1.0,
-                 rest_curvature=None, base=(0.0, 0.0, 0.0)) -> RodState:
-    """Rod with identity orientations (straight along +z)."""
+                 rest_curvature=None) -> RodState:
+    """Rod with identity orientations (straight along +z from the origin)."""
     q = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (n_segments, 1))
     if rest_curvature is None:
         rest_curvature = np.zeros((n_segments - 1, 3))
-    return RodState(segment_length, q, np.asarray(base, dtype=float), stiffness, rest_curvature)
+    return RodState(segment_length, q, np.zeros(3), stiffness, rest_curvature)
 
 
 def relative_curvature(q_i: np.ndarray, q_next: np.ndarray) -> np.ndarray:
@@ -139,7 +137,7 @@ def joint_curvatures(rod: RodState) -> np.ndarray:
 def bending_energy(rod: RodState) -> float:
     """Sum over joints of (1/2) E ||kappa_j - omega0_j||^2 (total energy)."""
     diff = joint_curvatures(rod) - rod.rest_curvature
-    return float(0.5 * rod.stiffness * np.sum(diff * diff))
+    return rod.stiffness * float(0.5 * np.sum(diff * diff))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +206,8 @@ def _tip_and_jacobian(q0, kappa, base, L):
     return base + L * suffix[0], jac.reshape(-1, 3).T
 
 
+GRAD_TOL = 1e-8
+MAX_ITER = 10_000
 # sufficient-decrease fraction of the merit's slope, and the most halvings
 # one line search may take before the step counts as failed
 _ARMIJO = 1e-4
@@ -217,8 +217,8 @@ _MAX_HALVINGS = 60
 _ROUNDING_ULPS = 8.0
 
 
-def _kkt_step(kappa, q0, base, L, E, omega, target):
-    """Energy, pin residual c, its Jacobian J and the KKT step
+def _kkt_step(kappa, q0, base, L, omega, target):
+    """Unit-stiffness energy, pin residual c, its Jacobian J and the KKT step
     d = (omega - kappa) - J^T mu at kappa.
 
     mu solves J J^T mu = c + J (omega - kappa) by least squares, so the
@@ -229,37 +229,39 @@ def _kkt_step(kappa, q0, base, L, E, omega, target):
     c = tip - target
     free = (omega - kappa).ravel()
     mu = np.linalg.lstsq(jac @ jac.T, c + jac @ free, rcond=None)[0]
-    return 0.5 * E * float(free @ free), c, jac, (free - jac.T @ mu).reshape(kappa.shape)
+    return 0.5 * float(free @ free), c, jac, (free - jac.T @ mu).reshape(kappa.shape)
 
 
 def _check_reachable(rod: RodState, target: np.ndarray) -> None:
     # the base pose fixes the first segment, so the tip reaches the ball of
-    # radius (n - 1) L about the first joint, and for n = 2 only its sphere
+    # radius (n - 1) L about the first joint, and for n = 2 only its sphere;
+    # hypot on Python floats measures a huge pin without overflow
     reach = (rod.n_segments - 1) * rod.segment_length
     first = rod.base + rod.segment_length * _matrices(rod.orientations[:1])[0, :, 2]
-    dist = float(np.linalg.norm(target - first))
+    dist = math.hypot(*(t - f for t, f in zip(target.tolist(), first.tolist())))
     if dist > reach + 1e-9 or (rod.n_segments == 2 and dist < reach - 1e-9):
         bound = "exactly" if rod.n_segments == 2 else "at most"
         raise UnreachableConstraint(f"tip target is {dist:.6g} mm from the first joint; "
                                     f"the tip reaches {bound} {reach:.6g} mm")
 
 
-def relax(rod: RodState, tip_target=None, grad_tol: float = 1e-8,
-          max_iter: int = 10_000, energy_trace: list | None = None) -> RelaxResult:
+def relax(rod: RodState, tip_target=None, energy_trace: list | None = None) -> RelaxResult:
     """Minimize bending energy over the joint rotation vectors, base pose fixed.
 
+    The stiffness E scales the energy, not its minimiser: the rod is relaxed
+    at unit stiffness, and E only scales the reported energy and grad_inf.
     A free rod relaxes in closed form to kappa = omega (0 iterations). A
     pinned tip, c = tip - target = 0, is met from joint_curvatures(rod) by
-    KKT steps of the energy (Hessian E I) under the linearised pin, each a
+    KKT steps of the energy (Hessian I) under the linearised pin, each a
     3x3 solve (Nocedal & Wright, ch. 18), halved until the merit
     energy / rho + |c| falls by an Armijo fraction of its slope; rho grows
     as far as a step needs it to descend (N&W 18.36). A step too small for
     the merit to resolve through the tip's rounding counts if the next KKT
     step is shorter. converged says whether the Lagrangian gradient at the
-    KKT multiplier (grad_inf = E |d|_inf) and the tip residual in mm fell
-    below grad_tol within max_iter steps. Raises UnreachableConstraint for a
-    pin outside the reachable set, and RodOutOfRange when the stiffness
-    underflows rho or the start energy over rho overflows.
+    KKT multiplier (grad_inf / E = |d|_inf) and the tip residual in mm fell
+    below GRAD_TOL within MAX_ITER steps. Raises UnreachableConstraint for a
+    pin outside the reachable set, and RodOutOfRange when J J^T, the start
+    merit or the reported energy overflows.
 
     energy_trace, when given, receives one list per call: the merit at the
     start and after every accepted step (free relax: the energy before and
@@ -267,7 +269,6 @@ def relax(rod: RodState, tip_target=None, grad_tol: float = 1e-8,
     more than the tip's rounding.
     """
     L = rod.segment_length
-    E = rod.stiffness
     q0 = rod.orientations[0]
     omega = rod.rest_curvature
     trace: list = []
@@ -279,36 +280,40 @@ def relax(rod: RodState, tip_target=None, grad_tol: float = 1e-8,
     if tip_target is not None:
         target = np.asarray(tip_target, dtype=float).reshape(3)
         _check_reachable(rod, target)
+        # J J^T sums 3 (n - 1) squares of tip Jacobian entries, each at most n L
+        length = rod.n_segments * L
+        if not math.isfinite(rod.n_segments * length * length):
+            raise RodOutOfRange(f"a pinned rod {length:g} mm long puts J J^T out of float range")
         kappa = joint_curvatures(rod)
         rounding = _ROUNDING_ULPS * rod.n_segments ** 1.5 * L * np.finfo(float).eps
-        rho = E * np.finfo(float).eps  # no weight is needed until a step asks for one
-        state = _kkt_step(kappa, q0, rod.base, L, E, omega, target)
-        # the merit divides the energy by rho: both must stay in float range
-        if not (rho > 0 and math.isfinite(state[0] / float(rho))):
-            raise RodOutOfRange(f"stiffness {E:g} and the rest curvature put the pinned "
-                                "relax's energy scale out of float range")
+        rho = float(np.finfo(float).eps)  # no weight is needed until a step asks for one
+        state = _kkt_step(kappa, q0, rod.base, L, omega, target)
+        # the merit divides the energy by rho: it must stay in float range
+        if not math.isfinite(state[0] / rho):
+            raise RodOutOfRange("the rest curvature puts the pinned relax's energy scale "
+                                "out of float range")
         while True:
             f, c, jac, d = state
             resid = float(np.linalg.norm(c))
-            gi = E * float(np.abs(d).max())
+            gi = float(np.abs(d).max())
             # the merit's slope along d is gd / rho - drop, where drop is the
             # linearised fall of |c|: all of it unless J J^T is singular
-            gd = E * float(np.sum((kappa - omega) * d))
+            gd = float(np.sum((kappa - omega) * d))
             drop = resid - float(np.linalg.norm(c + jac @ d.ravel()))
             if drop > 0:
-                rho = max(rho, (gd + 0.5 * E * float(np.sum(d * d))) / (0.5 * drop))
+                rho = max(rho, (gd + 0.5 * float(np.sum(d * d))) / (0.5 * drop))
             merit = f / rho + resid
             trace.append(merit)
-            if (gi < grad_tol and resid < grad_tol) or iters == max_iter:
+            if (gi < GRAD_TOL and resid < GRAD_TOL) or iters == MAX_ITER:
                 break
             slope = min(0.0, gd / rho - drop)
             alpha = 1.0
             for _ in range(_MAX_HALVINGS):
                 trial = kappa + alpha * d
-                state = _kkt_step(trial, q0, rod.base, L, E, omega, target)
+                state = _kkt_step(trial, q0, rod.base, L, omega, target)
                 t_merit = state[0] / rho + float(np.linalg.norm(state[1]))
                 if (t_merit < merit + _ARMIJO * alpha * slope
-                        or (t_merit <= merit + rounding and E * np.abs(state[3]).max() < gi)):
+                        or (t_merit <= merit + rounding and np.abs(state[3]).max() < gi)):
                     break
                 alpha *= 0.5
             else:
@@ -317,12 +322,14 @@ def relax(rod: RodState, tip_target=None, grad_tol: float = 1e-8,
             kappa = trial
 
     q = _orientations_from_joints(q0, kappa)
-    out = RodState(L, q, rod.base, E, omega)
+    out = RodState(L, q, rod.base, rod.stiffness, omega)
     energy = bending_energy(out)
+    if not math.isfinite(energy):
+        raise RodOutOfRange(f"stiffness {rod.stiffness:g} puts the energy out of float range")
     if tip_target is None and energy_trace is not None:
         trace += [bending_energy(rod), energy]
-    return RelaxResult(rod=out, energy=energy, converged=gi < grad_tol and resid < grad_tol,
-                       iterations=iters, grad_inf=gi, tip_residual=resid)
+    return RelaxResult(rod=out, energy=energy, converged=gi < GRAD_TOL and resid < GRAD_TOL,
+                       iterations=iters, grad_inf=rod.stiffness * gi, tip_residual=resid)
 
 
 def rest_curvature_field(n_segments: int, tip_angle: float, seed: int) -> np.ndarray:
@@ -359,7 +366,7 @@ def rest_curvature_field(n_segments: int, tip_angle: float, seed: int) -> np.nda
 
 
 def synth_guidewire(n_segments: int, segment_length: float, tip_angle: float,
-                    seed: int, stiffness: float = 1.0) -> np.ndarray:
+                    seed: int) -> np.ndarray:
     """Deterministic synthetic guidewire centerline, base first.
 
     Builds a straight rod with the seeded rest-curvature field, relaxes it,
@@ -367,5 +374,4 @@ def synth_guidewire(n_segments: int, segment_length: float, tip_angle: float,
     identical output; joint spacing equals segment_length exactly.
     """
     omega = rest_curvature_field(n_segments, tip_angle, seed)
-    rod = straight_rod(n_segments, segment_length, stiffness, omega)
-    return relax(rod).rod.centerline()
+    return relax(straight_rod(n_segments, segment_length, rest_curvature=omega)).rod.centerline()

@@ -193,10 +193,9 @@ def match_curves(curve_a: BSplineCurve, curve_b: BSplineCurve,
 
     Uniformly samples curve A; for each sample the epiline is intersected
     with curve B and the smallest intersection not violating monotonicity
-    is kept (near-ties resolved toward the linear prediction from the
-    accepted pairs). Samples with no admissible intersection are MISSING
-    and filled by the monotone interpolant. Raises NoMatches with fewer
-    than two valid pairs.
+    (within 1e-12 of the last kept one, clipped up to it) is kept. Samples
+    with no admissible intersection are MISSING and filled by the monotone
+    interpolant. Raises NoMatches with fewer than two valid pairs.
     """
     if n_samples < 4:
         raise ValueError("n_samples must be >= 4")
@@ -216,12 +215,7 @@ def match_curves(curve_a: BSplineCurve, curve_b: BSplineCurve,
         if not admissible:
             samples.append((float(u_a), MISSING))
             continue
-        u_b = min(admissible)
-        near = [r for r in admissible if r - u_b <= 1e-6]
-        if len(near) > 1:
-            pred = _linear_prediction(accepted, float(u_a))
-            u_b = min(near, key=lambda r: abs(r - pred))
-        u_b = max(u_b, last_ub)  # clip refinement jitter below the floor
+        u_b = max(admissible[0], last_ub)  # roots increase; clip jitter below the floor
         samples.append((float(u_a), float(u_b)))
         accepted.append((float(u_a), float(u_b)))
         last_ub = u_b
@@ -230,17 +224,6 @@ def match_curves(curve_a: BSplineCurve, curve_b: BSplineCurve,
         raise NoMatches(f"only {len(accepted)} epipolar correspondences found")
     interp = pchip_fit(np.array(accepted))
     return ParamMatch(samples=samples, interpolant=interp)
-
-
-def _linear_prediction(accepted: list[tuple[float, float]], u_a: float) -> float:
-    if not accepted:
-        return u_a
-    if len(accepted) == 1:
-        return accepted[-1][1] + (u_a - accepted[-1][0])
-    (xa0, yb0), (xa1, yb1) = accepted[-2], accepted[-1]
-    if xa1 == xa0:
-        return yb1
-    return yb1 + (yb1 - yb0) / (xa1 - xa0) * (u_a - xa1)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +339,7 @@ def reconstruct_curve(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
     world = np.array([
         triangulate_point(cam_a, cam_b, xa, xb) for xa, xb in zip(pts_a, pts_b)
     ])
-    curve3d = fit_curve(world, degree=3)
+    curve3d = fit_curve(world)
 
     err_a = point_to_curve_distances(curve_a, project_many(cam_a, world))
     err_b = point_to_curve_distances(curve_b, project_many(cam_b, world))

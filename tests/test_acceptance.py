@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stereowire.io as swio
-from stereowire.bspline import basis, eval_curve, fit_curve, sample_uniform
+from stereowire.bspline import basis, eval_curve_many, fit_curve, sample_uniform
 from stereowire.cameras import canonical_homogeneous, fundamental_matrix, project_many
 from stereowire.cli import main
 from stereowire.metrics import curve_metrics, discrete_frechet, episode_metrics, reward, Episode
@@ -130,7 +130,7 @@ def test_criterion_4_bspline_properties():
         from stereowire.bspline import BSplineCurve
         curve = BSplineCurve(cp, kv)
         for t in rng.uniform(0.0, 1.0, 50):
-            diff = np.abs(eval_curve(curve, t) - de_boor_oracle(curve, t)).max()
+            diff = np.abs(eval_curve_many(curve, [t])[0] - de_boor_oracle(curve, t)).max()
             worst_eval = max(worst_eval, diff)
     assert worst_eval < 1e-12
 
@@ -139,8 +139,8 @@ def test_criterion_4_bspline_properties():
     lo, hi = curve.domain
     ts, samples = sample_uniform(curve, 17)
     assert ts[0] == lo and ts[-1] == hi
-    assert np.array_equal(samples[0], eval_curve(curve, lo))
-    assert np.array_equal(samples[-1], eval_curve(curve, hi))
+    assert np.array_equal(samples[0], eval_curve_many(curve, [lo])[0])
+    assert np.array_equal(samples[-1], eval_curve_many(curve, [hi])[0])
     _report(4, "bspline-properties", f"partition {worst_pu:.2e}, "
             f"de Boor {worst_eval:.2e}, endpoints exact")
 

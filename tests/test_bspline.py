@@ -10,7 +10,6 @@ from stereowire.bspline import (
     basis,
     clamped_uniform_knots,
     dedupe_points,
-    eval_curve,
     eval_curve_many,
     fit_curve,
     parameterize_arclength,
@@ -190,8 +189,7 @@ def test_eval_scalar_is_batched_bit_for_bit(rng):
     ts = kernel_params(rng, kv)
     batch = eval_curve_many(curve, ts)
     for t, row in zip(ts, batch):
-        assert np.array_equal(eval_curve(curve, t), eval_curve_many(curve, [t])[0])
-        assert np.array_equal(eval_curve(curve, t), row)  # independent of the batch
+        assert np.array_equal(eval_curve_many(curve, [t])[0], row)  # independent of the batch
 
 
 def test_eval_many_out_of_domain():
@@ -211,9 +209,9 @@ def test_derivative_matches_central_differences(rng):
             if np.min(np.abs(kv.knots - t)) < 1e-4:
                 continue  # a knot in the stencil: one-sided derivatives differ
             h = 1e-6
-            fd = (eval_curve(curve, t + h) - eval_curve(curve, t - h)) / (2 * h)
+            fd = (eval_curve_many(curve, [t + h])[0] - eval_curve_many(curve, [t - h])[0]) / (2 * h)
             scale = 1.0 + np.abs(fd).max()
-            assert np.abs(eval_curve(curve.derivative, t) - fd).max() < 1e-5 * scale
+            assert np.abs(eval_curve_many(curve.derivative, [t])[0] - fd).max() < 1e-5 * scale
 
 
 def test_power_spans_reproduce_the_curve(rng):
@@ -235,28 +233,28 @@ def test_eval_constant_control_points(rng):
     Q = np.array([3.0, -1.0, 2.0])
     curve = BSplineCurve(np.tile(Q, (6, 1)), kv)
     for t in rng.uniform(0, 1, 20):
-        assert np.allclose(eval_curve(curve, t), Q, atol=1e-14)
+        assert np.allclose(eval_curve_many(curve, [t])[0], Q, atol=1e-14)
 
 
 def test_eval_linear_midpoint():
     kv = KnotVector([0.0, 0.0, 1.0, 1.0], 1)
     curve = BSplineCurve(np.array([[0.0, 0.0], [2.0, 4.0]]), kv)
-    assert np.allclose(eval_curve(curve, 0.5), [1.0, 2.0])
+    assert np.allclose(eval_curve_many(curve, [0.5])[0], [1.0, 2.0])
 
 
 def test_eval_matches_de_boor_oracle(rng):
     kv = clamped_uniform_knots(7, 3)
     curve = BSplineCurve(rng.normal(size=(7, 3)), kv)
     for t in rng.uniform(0, 1, 100):
-        assert np.abs(eval_curve(curve, t) - de_boor_oracle(curve, t)).max() < 1e-12
-    assert np.abs(eval_curve(curve, 1.0) - de_boor_oracle(curve, 1.0)).max() < 1e-12
+        assert np.abs(eval_curve_many(curve, [t])[0] - de_boor_oracle(curve, t)).max() < 1e-12
+    assert np.abs(eval_curve_many(curve, [1.0])[0] - de_boor_oracle(curve, 1.0)).max() < 1e-12
 
 
 def test_eval_out_of_domain():
     kv = clamped_uniform_knots(4, 3)
     curve = BSplineCurve(np.zeros((4, 2)), kv)
     with pytest.raises(OutOfDomain):
-        eval_curve(curve, 1.5)
+        eval_curve_many(curve, [1.5])[0]
 
 
 def test_eval_affine_invariance(rng):
@@ -267,7 +265,8 @@ def test_eval_affine_invariance(rng):
     curve = BSplineCurve(cp, kv)
     mapped = BSplineCurve(cp @ A.T + b, kv)
     for t in rng.uniform(0, 1, 25):
-        assert np.allclose(eval_curve(mapped, t), A @ eval_curve(curve, t) + b, atol=1e-10)
+        assert np.allclose(eval_curve_many(mapped, [t])[0],
+                           A @ eval_curve_many(curve, [t])[0] + b, atol=1e-10)
 
 
 # ------------------------------------------------------------- arclength
@@ -312,7 +311,7 @@ def test_arclength_matches_prefix_sum_oracle(rng):
 def test_fit_collinear_points_stay_on_line():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.5, 2.5], [4.0, 4.0]])
     pc = fit_curve(pts)
-    mid = eval_curve(pc, 0.5)
+    mid = eval_curve_many(pc, [0.5])[0]
     assert abs(mid[1] - mid[0]) < 1e-10  # on the line y = x
 
 
@@ -322,7 +321,7 @@ def test_fit_round_trip_at_interpolation_parameters(rng):
     resampled = eval_curve_many(source, parameterize_arclength(pts))
     refit = fit_curve(resampled)
     for t in rng.uniform(0, 1, 50):
-        assert np.abs(eval_curve(refit, t) - eval_curve(source, t)).max() < 1e-8
+        assert np.abs(eval_curve_many(refit, [t])[0] - eval_curve_many(source, [t])[0]).max() < 1e-8
 
 
 def test_averaged_knots_are_window_means(rng):

@@ -9,7 +9,6 @@ from stereowire.cameras import (
     epiline,
     fundamental_matrix,
     normalize_fundamental,
-    project,
     project_many,
     skew,
 )
@@ -36,12 +35,12 @@ def homog(x):
 
 def test_project_canonical():
     cam = canonical()
-    assert np.allclose(project(cam, [0, 0, 1]), [0, 0])
+    assert np.allclose(project_many(cam, [[0, 0, 1]])[0], [0, 0])
 
 
 def test_project_divides_by_depth():
     cam = canonical()
-    assert np.allclose(project(cam, [2, 4, 2]), [1, 2])
+    assert np.allclose(project_many(cam, [[2, 4, 2]])[0], [1, 2])
 
 
 def test_project_matches_homogeneous_oracle(rng):
@@ -51,13 +50,13 @@ def test_project_matches_homogeneous_oracle(rng):
         uvw = cam.P @ homog(X)  # independent multiply-and-divide oracle
         if abs(uvw[2]) <= 1e-12:
             continue
-        assert np.allclose(project(cam, X), uvw[:2] / uvw[2], atol=1e-12)
+        assert np.allclose(project_many(cam, [X])[0], uvw[:2] / uvw[2], atol=1e-12)
 
 
 def test_project_principal_plane_raises():
     cam = canonical()
     with pytest.raises(DegenerateProjection):
-        project(cam, [1.0, 1.0, 0.0])
+        project_many(cam, [[1.0, 1.0, 0.0]])[0]
 
 
 # ---------------------------------------------------------------- camera center
@@ -136,7 +135,7 @@ def test_fundamental_canonical_pair_annihilates():
     cam_b = ProjectiveCamera(np.hstack([np.eye(3), np.array([[-1.0], [0.0], [0.0]])]), (1024, 1024))
     F = fundamental_matrix(cam_a, cam_b)
     X = np.array([0.0, 0.0, 5.0])
-    res = homog(project(cam_b, X)) @ F @ homog(project(cam_a, X))
+    res = homog(project_many(cam_b, [X])[0]) @ F @ homog(project_many(cam_a, [X])[0])
     assert abs(res) < 1e-12
 
 
@@ -182,8 +181,8 @@ def test_epiline_exact_correspondence(rng):
     cam_a, cam_b = random_stereo_rig(rng)
     F = fundamental_matrix(cam_a, cam_b)
     X = rng.uniform(-100, 100, 3)
-    l = epiline(F, project(cam_a, X))
-    xb = project(cam_b, X)
+    l = epiline(F, project_many(cam_a, [X])[0])
+    xb = project_many(cam_b, [X])[0]
     assert abs(xb @ l[:2] + l[2]) < 1e-9
     assert abs(np.hypot(l[0], l[1]) - 1.0) < 1e-12
 
@@ -210,7 +209,7 @@ def test_epiline_skew_pattern_manual_multiply():
 # ---------------------------------------------------------------- DLT calibration
 
 def _correspondences(cam, X):
-    return [Correspondence(x, project(cam, x)) for x in X]
+    return [Correspondence(x, project_many(cam, [x])[0]) for x in X]
 
 
 def test_dlt_exact_recovery(rng):
@@ -249,7 +248,7 @@ def test_dlt_coplanar_points_degenerate(rng):
 def test_dlt_noisy_mean_reprojection(rng):
     cam = random_camera(rng)
     X = rng.uniform(-150, 150, (50, 3))
-    corrs = [Correspondence(x, project(cam, x) + rng.normal(0, 0.5, 2)) for x in X]
+    corrs = [Correspondence(x, project_many(cam, [x])[0] + rng.normal(0, 0.5, 2)) for x in X]
     _, err = calibrate_dlt(corrs, cam.image_size)
     assert err <= 1.5
 

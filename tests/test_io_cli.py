@@ -1,6 +1,10 @@
 import json
+import math
 import random
+import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,9 @@ from stereowire.cli import build_parser, main
 from stereowire.errors import ParseError, SchemaMismatch, StereowireError
 from stereowire.metrics import Episode, curve_metrics
 from stereowire.rig import default_rig
-from stereowire.rod import synth_guidewire
+from stereowire.rod import relax, rest_curvature_field, straight_rod, synth_guidewire
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 # ------------------------------------------------------------- schemas
@@ -441,6 +447,44 @@ def test_relax_command_readme_example_converges(tmp_path, capsys):
     assert float(out.split("tip_residual_mm=")[1]) < 1e-9
 
 
+def readme_relax_example() -> tuple[list[str], str]:
+    """The README's relax command as argv, and the line it documents as its output."""
+    text = README.read_text()
+    command = re.search(r"```sh\n(stereowire relax .*?)\n```\n", text, re.S).group(1)
+    line = re.search(r"```\n(energy=.*)\n```", text[text.index(command):]).group(1)
+    return shlex.split(command.replace("\\\n", " "))[1:], line
+
+
+def test_relax_command_prints_the_readme_line(tmp_path, capsys, monkeypatch):
+    argv, line = readme_relax_example()
+    monkeypatch.chdir(tmp_path)  # the relative --out path
+    assert main(argv) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_relax_curve_does_not_depend_on_stiffness(tmp_path, capsys, monkeypatch):
+    # the stiffness scales the bending energy, not its minimiser under the pin
+    argv, _ = readme_relax_example()
+    monkeypatch.chdir(tmp_path)
+    stiffnesses = (1e-320, 1e-5, 1.0, 4.0, 1e300)
+    curves = set()
+    for k, E in enumerate(stiffnesses):
+        assert main([*argv, "--out", f"c{k}.json", "--stiffness", repr(E)]) == 0
+        assert "converged=True" in capsys.readouterr().out
+        curves.add((tmp_path / f"c{k}.json").read_bytes())
+    assert len(curves) == 1
+
+    omega = rest_curvature_field(30, 0.8, 4)
+    target = [10.0, 0.0, 50.0]
+    unit = relax(straight_rod(30, 2.0, rest_curvature=omega), tip_target=target)
+    for E in stiffnesses:
+        res = relax(straight_rod(30, 2.0, E, omega), tip_target=target)
+        assert res.converged
+        assert math.isclose(res.energy, E * unit.energy, rel_tol=1e-12)
+        assert math.isclose(res.grad_inf, E * unit.grad_inf, rel_tol=1e-12)
+
+
 # ------------------------------------------------------------- exit contract
 
 @pytest.mark.parametrize("argv", [
@@ -455,8 +499,11 @@ def test_relax_command_readme_example_converges(tmp_path, capsys):
     ["relax", "--out", "c.json", "--stiffness", "inf"],
     ["relax", "--out", "c.json", "--segment-length", "inf"],
     ["relax", "--out", "c.json", "--segment-length", "1e308"],  # finite, but the rod is not
+    ["relax", "--out", "c.json", "--segment-length", "1e306", "--tip-target", "1e306,0,1e307"],
+    ["synth", "--out", "w", "--stiffness", "2"],  # the free rod's shape has no stiffness
 ], ids=["bad-int", "missing-flag", "unknown-command", "inf-noise", "huge-noise", "inf-tip-angle",
-        "huge-tip-angle", "inf-stiffness", "inf-segment-length", "huge-segment-length"])
+        "huge-tip-angle", "inf-stiffness", "inf-segment-length", "huge-segment-length",
+        "huge-pinned-rod", "synth-stiffness"])
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_flag_errors_print_one_line(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the relative --out paths
@@ -468,13 +515,15 @@ def test_flag_errors_print_one_line(argv, capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv,message", [
     (["synth", "--out", "w", "--n-segments", "2"], "--n-segments must be >= 3"),
     (["relax", "--out", "c.json", "--n-segments", "2"], "--n-segments must be >= 3"),
-    (["relax", "--out", "c.json", "--n-segments", "5", "--stiffness", "1e-320",
-      "--tip-angle", "1", "--tip-target", "1,0,7"], "out of float range"),
     (["relax", "--out", "c.json", "--tip-angle=1e154", "--n-segments", "5",
       "--tip-target", "0,0,4"], "out of float range"),
     (["synth", "--out", "w", "--segment-length", "1e308"], "longer than a float"),
-], ids=["synth-2-segments", "relax-2-segments", "subnormal-stiffness", "huge-rest-bend",
-        "synth-huge-segment-length"])
+    (["relax", "--out", "c.json", "--segment-length", "1e306", "--tip-target", "1e306,0,1e307"],
+     "out of float range"),  # 1.005e307 mm away, within reach, but J J^T overflows
+    (["relax", "--out", "c.json", "--stiffness", "1.7e308", "--tip-angle", "30",
+      "--n-segments", "5", "--tip-target", "1,0,7"], "out of float range"),  # energy = E * 19.25
+], ids=["synth-2-segments", "relax-2-segments", "huge-rest-bend", "synth-huge-segment-length",
+        "huge-pinned-rod", "huge-stiffness-energy"])
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_rod_flag_errors_name_the_cause(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

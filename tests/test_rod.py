@@ -220,7 +220,8 @@ def test_relax_pinned_tip():
     natural = relax(rod).rod.centerline()[-1]
     assert abs(np.linalg.norm(natural) / (n * L) - 0.8) < 0.01
     target = natural + np.array([0.5, 0.0, 0.0])
-    res = relax(rod, tip_target=target, grad_tol=1e-7, max_iter=4000)
+    res = relax(rod, tip_target=target)
+    assert res.converged and res.iterations <= 10
     assert res.tip_residual < 1e-3
     assert res.grad_inf < 1e-6
 
@@ -324,9 +325,6 @@ def test_rest_field_refuses_overflowing_bends(tip_angle):
 def test_rod_out_of_float_range_is_refused_before_any_warning():
     with pytest.raises(RodOutOfRange):
         straight_rod(50, 1e308)  # each segment is finite, the rod is not
-    subnormal = straight_rod(5, 2.0, 1e-320, rest_curvature_field(5, 1.0, 0))
-    with pytest.raises(RodOutOfRange):
-        relax(subnormal, tip_target=[1.0, 0.0, 7.0])  # rho = E eps underflows to 0
     steep = straight_rod(5, 2.0, 1.0, rest_curvature_field(5, 1e154, 0))
     with pytest.raises(RodOutOfRange):
         relax(steep, tip_target=[0.0, 0.0, 4.0])  # energy / rho overflows

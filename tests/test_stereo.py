@@ -3,7 +3,7 @@ import pytest
 
 import stereowire as sw
 from stereowire.bspline import BSplineCurve, eval_curve_many, fit_curve, sample_uniform
-from stereowire.cameras import ProjectiveCamera, fundamental_matrix, project, project_many
+from stereowire.cameras import ProjectiveCamera, fundamental_matrix, project_many
 from stereowire.errors import CoincidentCenters, NoMatches, NonMonotoneInput, PointAtInfinity
 from stereowire.rig import default_rig
 from stereowire.stereo import (
@@ -289,7 +289,7 @@ def test_match_interpolant_monotone_at_many_probes():
 def test_triangulate_round_trip(rng):
     cam_a, cam_b = random_stereo_rig(rng)
     X = np.array([10.0, -5.0, 100.0])
-    got = triangulate_point(cam_a, cam_b, project(cam_a, X), project(cam_b, X))
+    got = triangulate_point(cam_a, cam_b, project_many(cam_a, [X])[0], project_many(cam_b, [X])[0])
     assert np.linalg.norm(got - X) < 1e-6
 
 
@@ -299,14 +299,15 @@ def test_triangulate_baseline_degeneracy():
     cb = np.linalg.solve(cam_b.P[:, :3], -cam_b.P[:, 3])
     mid = 0.5 * (ca + cb)  # on the baseline: both rays coincide with it
     with pytest.raises(PointAtInfinity):
-        triangulate_point(cam_a, cam_b, project(cam_a, mid), project(cam_b, mid))
+        triangulate_point(cam_a, cam_b, project_many(cam_a, [mid])[0],
+                          project_many(cam_b, [mid])[0])
 
 
 def test_same_camera_twice_has_coincident_centers():
     # one rule decides coincidence for the fundamental matrix and for
     # every triangulated point
     cam, _ = default_rig()
-    x = project(cam, [1.0, 2.0, 3.0])
+    x = project_many(cam, [[1.0, 2.0, 3.0]])[0]
     with pytest.raises(CoincidentCenters):
         fundamental_matrix(cam, cam)
     with pytest.raises(CoincidentCenters):
@@ -339,8 +340,8 @@ def test_triangulate_noisy_vs_midpoint_oracle():
     err_dlt, err_mid = [], []
     for _ in range(100):
         X = rng.uniform(-40, 40, 3)
-        xa = project(cam_a, X) + rng.normal(0, 0.5, 2)
-        xb = project(cam_b, X) + rng.normal(0, 0.5, 2)
+        xa = project_many(cam_a, [X])[0] + rng.normal(0, 0.5, 2)
+        xb = project_many(cam_b, [X])[0] + rng.normal(0, 0.5, 2)
         err_dlt.append(np.linalg.norm(triangulate_point(cam_a, cam_b, xa, xb) - X))
         err_mid.append(np.linalg.norm(_midpoint_oracle(cam_a, cam_b, xa, xb) - X))
     assert np.median(err_dlt) <= 1.5 * np.median(err_mid)
@@ -349,7 +350,7 @@ def test_triangulate_noisy_vs_midpoint_oracle():
 def test_triangulate_svd_optimality(rng):
     cam_a, cam_b = default_rig()
     X = np.array([12.0, 7.0, -9.0])
-    xa, xb = project(cam_a, X), project(cam_b, X) + 0.3  # make residual nonzero
+    xa, xb = project_many(cam_a, [X])[0], project_many(cam_b, [X])[0] + 0.3  # make residual nonzero
     got = triangulate_point(cam_a, cam_b, xa, xb)
     A = np.array([
         xa[0] * cam_a.P[2] - cam_a.P[0],
