@@ -296,7 +296,7 @@ def fit_curve(polyline) -> BSplineCurve:
     Consecutive duplicate vertices are removed first (tol 1e-9). Returns a
     BSplineCurve of the input's dimension. Raises TooFewPoints below
     4 distinct vertices and SolveFailure if the collocation system
-    cannot reproduce the vertices to 1e-9.
+    cannot reproduce the vertices to max(1e-9, 1e-12 max|vertex|).
     """
     pts = dedupe_points(polyline)
     n = len(pts)
@@ -315,8 +315,9 @@ def fit_curve(polyline) -> BSplineCurve:
         raise SolveFailure("singular interpolation system") from exc
     curve = BSplineCurve(ctrl, kv)
     resid = np.abs(eval_curve_many(curve, u) - pts).max()
-    if resid > 1e-9:
-        raise SolveFailure(f"interpolation residual {resid:.3g} exceeds 1e-9")
+    tol = max(1e-9, 1e-12 * np.abs(pts).max())
+    if resid > tol:
+        raise SolveFailure(f"interpolation residual {resid:.3g} exceeds {tol:.3g}")
     return curve
 
 

@@ -95,33 +95,16 @@ def resample_uniform_spacing(points, spacing: float = DEFAULT_SPACING_MM) -> np.
         raise ValueError("spacing must be positive")
 
     out = [points[0]]
-    seg = 0  # current polyline segment index
-    pos = points[0]
-    while True:
-        center = out[-1]
-        hit = None
-        p = pos
-        j = seg
-        while j < len(points) - 1:
-            q = points[j + 1]
-            d = q - p
-            a = float(d @ d)
-            if a > 0.0:
-                # ||p + s*d - center||^2 = spacing^2, s in (0, 1]
-                f = p - center
-                b = 2.0 * float(f @ d)
-                c = float(f @ f) - spacing * spacing
-                disc = b * b - 4.0 * a * c
-                if disc >= 0.0:
-                    s_hi = (-b + np.sqrt(disc)) / (2.0 * a)
-                    if 0.0 < s_hi <= 1.0 + 1e-12:
-                        hit = (j, p + min(s_hi, 1.0) * d)
-                        break
-            p = q
-            j += 1
-        if hit is None:
-            break
-        seg, new_pt = hit
-        pos = new_pt
-        out.append(new_pt)
+    p, j = points[0], 0  # march position and the index of its segment's start
+    while j < len(points) - 1:
+        # ||p + s*d - out[-1]||^2 = spacing^2, s in (0, 1]
+        d, f = points[j + 1] - p, p - out[-1]
+        a, b, c = float(d @ d), 2.0 * float(f @ d), float(f @ f) - spacing * spacing
+        disc = b * b - 4.0 * a * c
+        s_hi = (-b + np.sqrt(disc)) / (2.0 * a) if a > 0.0 and disc >= 0.0 else -1.0
+        if 0.0 < s_hi <= 1.0 + 1e-12:
+            p = p + min(s_hi, 1.0) * d
+            out.append(p)
+        else:
+            p, j = points[j + 1], j + 1
     return np.array(out)

@@ -6,11 +6,13 @@ monotone parameter correspondence (filled through missing samples by a
 monotone cubic Hermite interpolant), triangulates the matched pairs, fits
 a 3D cubic through them, and gates the result on the mean reprojection
 error (25 px over both views pooled). The reprojection residual is a
-point-to-curve distance found by Newton point inversion.
+point-to-curve distance: the exact per-span nearest point by companion
+roots.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +26,11 @@ from .cameras import (
     project_many,
 )
 from .errors import NoMatches, NonMonotoneInput, PointAtInfinity, ZeroLine
-from .metrics import squared_distance_table
 
 REPROJ_GATE_PX = 25.0
 # above the 9-significant-digit precision pixels are written with, so the
 # epiline of one view's end sample still meets the other view's end point
 ON_LINE_PX = 1e-5
-NEWTON_STEPS = 4
-RESIDUAL_SAMPLES = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -113,21 +112,30 @@ def _edge_derivative(h0, h1, d0, d1):
 # ---------------------------------------------------------------------------
 # epiline-curve intersection
 
-def _unit_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real roots in [0, 1] of each f_i(x) = sum_k c[i, k] x^k, as (i, x) arrays.
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """(n, p) complex roots of each f_i(x) = sum_k c[i, k] x^k.
 
-    Companion-matrix eigenvalues (a vanishing leading coefficient is raised
-    to ~eps of the others, sending its root far outside [0, 1]), then two
-    Newton steps kept where they shrink |f|; a root needs |f| <= ON_LINE_PX.
-    The few candidates are polished in Python floats, whose IEEE operations
-    round exactly as the elementwise array form would.
+    Companion-matrix eigenvalues; a vanishing leading coefficient is raised
+    to ~eps of the others, sending its root far outside [0, 1].
     """
     n, p = c.shape[0], c.shape[1] - 1
     floor = np.maximum(np.finfo(float).eps * np.abs(c).max(axis=1), np.finfo(float).tiny)
     companion = np.zeros((n, p, p))
     companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
     companion[:, :, -1] = -c[:, :p] / np.where(np.abs(c[:, p]) > floor, c[:, p], floor)[:, None]
-    z = np.linalg.eigvals(companion).ravel()
+    return np.linalg.eigvals(companion)
+
+
+def _unit_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots in [0, 1] of each f_i(x) = sum_k c[i, k] x^k, as (i, x) arrays.
+
+    The companion roots near [0, 1], then two Newton steps kept where they
+    shrink |f|; a root needs |f| <= ON_LINE_PX. The few candidates are
+    polished in Python floats, whose IEEE operations round exactly as the
+    elementwise array form would.
+    """
+    p = c.shape[1] - 1
+    z = _companion_roots(c).ravel()
     near = np.flatnonzero(np.abs(z.real - 0.5) < 0.5 + 1e-6)
 
     def value_and_slope(coef, x):
@@ -260,51 +268,38 @@ def triangulate_point(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
 # ---------------------------------------------------------------------------
 # point-to-curve distance (reprojection residual)
 
-def _point_and_derivatives(curve: BSplineCurve,
-                           t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C(t), C'(t) and C''(t) from the curve's cached power form.
-
-    One span lookup and one Horner pass that carries the value, the slope
-    and half the second derivative of each span polynomial together.
-    """
-    lo, hi, _, coef = curve.power_spans
-    s = np.maximum(np.searchsorted(lo, t, side="right") - 1, 0)
-    h = (hi - lo)[s][:, None]
-    x = (t - lo[s])[:, None] / h
-    c = coef[s]
-    f, d1, d2 = c[:, -1], 0.0, 0.0
-    for k in range(c.shape[1] - 2, -1, -1):
-        d2 = d2 * x + d1
-        d1 = d1 * x + f
-        f = f * x + c[:, k]
-    return f, d1 / h, 2.0 * d2 / (h * h)
-
-
 def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest point on the curve.
+    """Distance from each point q to its nearest point on the curve.
 
-    A dense presample of RESIDUAL_SAMPLES brackets the nearest parameter
-    between the neighbours of the closest sample; Newton steps on
-    g(t) = C'(t).(C(t) - q) (point inversion, The NURBS Book 6.1), clamped
-    to the bracket and skipped where g' <= 0, converge it. The result never
-    exceeds the closest sample's distance.
+    Exact per-span nearest point by companion roots (The NURBS Book 6.1): a
+    span end, or a root of g(x) = C'(x).(C(x) - q) on a span whose Bezier
+    bounding box, which holds the span, is within the nearest span end.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    ts, samples = sample_uniform(curve, RESIDUAL_SAMPLES)
-    d2 = squared_distance_table(points, samples)
-    idx = np.argmin(d2, axis=1)
-    lo = ts[np.maximum(idx - 1, 0)]
-    hi = ts[np.minimum(idx + 1, RESIDUAL_SAMPLES - 1)]
-
-    t = ts[idx]
-    for _ in range(NEWTON_STEPS):
-        c, first, second = _point_and_derivatives(curve, t)
-        r = c - points
-        g = np.sum(first * r, axis=1)
-        dg = np.sum(second * r, axis=1) + np.sum(first * first, axis=1)
-        t = np.clip(t - np.divide(g, dg, out=np.zeros_like(g), where=dg > 0.0), lo, hi)
-    best = np.sqrt(np.sum((eval_curve_many(curve, t) - points) ** 2, axis=1))
-    return np.minimum(best, np.sqrt(d2[np.arange(len(points)), idx]))
+    p = curve.degree
+    coef = curve.power_spans[3]
+    # Bezier points b_j = sum_k comb(j, k) / comb(p, k) a_k; b_0 and b_p are the ends
+    to_bezier = np.array([[math.comb(j, k) / math.comb(p, k) for k in range(p + 1)]
+                          for j in range(p + 1)])
+    # coordinates first, so each sum over them adds whole slabs
+    bezier = np.moveaxis(to_bezier @ coef, -1, 0)
+    q = points.T[:, :, None]
+    ends = np.concatenate([bezier[:, :, 0], bezier[:, -1:, p]], axis=1)
+    best = np.sum((q - ends[:, None]) ** 2, axis=0).min(axis=1)
+    boxed = np.clip(q, bezier.min(axis=2)[:, None], bezier.max(axis=2)[:, None])
+    pt, span = np.nonzero(np.sum((q - boxed) ** 2, axis=0) <= best[:, None])
+    if p > 0:
+        r = coef[span]
+        r[:, 0] -= points[pt]
+        g = np.zeros((len(span), 2 * p))
+        for i in range(p):  # C'(x) has the coefficient (i + 1) a_(i+1) at x^i
+            g[:, i:i + p + 1] += (i + 1) * np.sum(r[:, i + 1, None] * r, axis=-1)
+        x = np.clip(_companion_roots(g).real, 0.0, 1.0)[..., None]
+        diff = r[:, p, None]
+        for k in range(p - 1, -1, -1):
+            diff = diff * x + r[:, k, None]
+        np.minimum.at(best, pt, np.sum(diff ** 2, axis=-1).min(axis=1))
+    return np.sqrt(best)
 
 
 # ---------------------------------------------------------------------------

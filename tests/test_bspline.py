@@ -85,7 +85,7 @@ def random_repeated_kv(rng, degree):
     """Clamped knots whose interior knots repeat up to `degree` times."""
     p = degree
     distinct = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(1, 6))))
-    interior = np.repeat(distinct, rng.integers(1, p + 1, distinct.size))
+    interior = np.repeat(distinct, rng.integers(1, max(p, 1) + 1, distinct.size))
     return KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p)
 
 

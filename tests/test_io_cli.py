@@ -512,6 +512,18 @@ def test_flag_errors_print_one_line(argv, capsys, tmp_path, monkeypatch):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "w", "--segment-length", "1e6"],
+    ["relax", "--out", "c.json", "--segment-length", "1e6", "--tip-angle", "1"],
+], ids=["synth", "relax"])
+@pytest.mark.filterwarnings("error")
+def test_large_wires_are_fitted(argv, capsys, tmp_path, monkeypatch):
+    # a 5e7 mm wire interpolates its vertices to ~1e-16 of their size, not to 1e-9 mm
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv,message", [
     (["synth", "--out", "w", "--n-segments", "2"], "--n-segments must be >= 3"),
     (["relax", "--out", "c.json", "--n-segments", "2"], "--n-segments must be >= 3"),

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 import stereowire as sw
+from stereowire import io as swio
 from stereowire.bspline import BSplineCurve, eval_curve_many, fit_curve, sample_uniform
 from stereowire.cameras import ProjectiveCamera, fundamental_matrix, project_many
+from stereowire.cli import main
 from stereowire.errors import CoincidentCenters, NoMatches, NonMonotoneInput, PointAtInfinity
 from stereowire.rig import default_rig
 from stereowire.stereo import (
     ON_LINE_PX,
-    _point_and_derivatives,
+    _companion_roots,
     _unit_roots,
     intersect_epiline,
     match_curves,
@@ -165,13 +167,9 @@ def sign_change_roots(spline, line, dense):
 
 
 def array_polished_unit_roots(c):
-    """Companion eigenvalues polished by two guarded Newton steps on whole arrays."""
+    """Companion roots polished by two guarded Newton steps on whole arrays."""
     n, p = c.shape[0], c.shape[1] - 1
-    floor = np.maximum(np.finfo(float).eps * np.abs(c).max(axis=1), np.finfo(float).tiny)
-    companion = np.zeros((n, p, p))
-    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
-    companion[:, :, -1] = -c[:, :p] / np.where(np.abs(c[:, p]) > floor, c[:, p], floor)[:, None]
-    z = np.linalg.eigvals(companion).ravel()
+    z = _companion_roots(c).ravel()
     near = np.abs(z.real - 0.5) < 0.5 + 1e-6
     row, x = np.repeat(np.arange(n), p)[near], np.clip(z.real[near], 0.0, 1.0)
     coef = c[row]
@@ -414,19 +412,6 @@ def test_point_to_curve_distance_is_zero_on_curve(rng):
     assert d.max() < 1e-9
 
 
-def test_newton_terms_match_the_hodographs(rng):
-    for p in (1, 2, 3, 5):
-        kv = random_repeated_kv(rng, p)
-        curve = BSplineCurve(rng.normal(size=(kv.n_basis, 2)), kv)
-        lo, hi = curve.domain
-        t = np.concatenate([kv.knots[p:kv.m - p + 1], rng.uniform(lo, hi, 50)])
-        got = _point_and_derivatives(curve, t)
-        hodographs = (curve, curve.derivative, curve.derivative.derivative)
-        for g, c in zip(got, hodographs):
-            want = eval_curve_many(c, t)
-            assert np.abs(g - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
-
-
 def dense_distance_oracle(spline, queries, n=200_000):
     """Nearest of n uniform samples, refined by golden section between its neighbours."""
     ts, pts = sample_uniform(spline, n)
@@ -463,3 +448,30 @@ def test_point_to_curve_distance_matches_dense_oracle():
         assert np.abs(got - want).max() < 1e-6
         # past an end along its tangent the end point is the nearest point
         assert np.abs(got[8:10] - np.linalg.norm(beyond_ends - ends, axis=1)).max() < 1e-9
+    for p in (0, 1, 2, 3, 5):
+        kv = random_repeated_kv(rng, p)
+        spline = BSplineCurve(rng.normal(size=(kv.n_basis, 2)) * 50, kv)
+        queries = rng.normal(size=(12, 2)) * 60
+        got = point_to_curve_distances(spline, queries)
+        assert np.abs(got - dense_distance_oracle(spline, queries)).max() < 1e-6, p
+
+
+def test_residual_of_a_self_approaching_fit_is_the_nearest_point(tmp_path):
+    # the 3 px fits of this frame pass close to themselves, so a point's
+    # nearest point can lie on a branch far along the curve
+    out = tmp_path / "frame"
+    assert main(["synth", "--out", str(out), "--seed", "8", "--noise-px", "3"]) == 0
+    cam_a, cam_b = (swio.load_camera(out / f"camera_{v}.json") for v in "ab")
+    curve_a, curve_b = (fit_curve(swio.load_annotation(out / f"annotation_{v}.json")[2])
+                        for v in "ab")
+    report = reconstruct_curve(cam_a, cam_b, curve_a, curve_b)
+    match = match_curves(curve_a, curve_b, fundamental_matrix(cam_a, cam_b))
+    u_as = np.array([ua for ua, _ in match.samples])
+    u_bs = np.clip(match.interpolant(u_as), *curve_b.domain)
+    world = np.array([triangulate_point(cam_a, cam_b, xa, xb) for xa, xb in
+                      zip(eval_curve_many(curve_a, u_as), eval_curve_many(curve_b, u_bs))])
+    for view, (cam, curve) in enumerate(((cam_a, curve_a), (cam_b, curve_b))):
+        got = report.per_point_reproj_px[:, view]
+        assert np.array_equal(got, point_to_curve_distances(curve, project_many(cam, world)))
+        want = dense_distance_oracle(curve, project_many(cam, world))
+        assert np.abs(got - want).max() < 1e-6, view
