@@ -201,11 +201,12 @@ class BSplineCurve:
 
     @cached_property
     def power_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(lo, hi, first, coef) of each nonempty knot span s, computed once per curve.
+        """(lo, hi, bezier, coef) of each nonempty knot span s, computed once per curve.
 
         On s, C(t) = sum_k coef[s, k] x^k with x = (t - lo[s]) / (hi[s] - lo[s]),
-        and first[s] is the first of its p+1 control points. The coefficients
-        are Taylor terms C^(k)(lo) (hi - lo)^k / k! from the hodographs.
+        Taylor terms C^(k)(lo) (hi - lo)^k / k! from the hodographs. bezier[s] holds
+        the span's p+1 Bezier points sum_k comb(j, k) / comb(p, k) coef[s, k], from
+        its start to its end; their convex hull holds it (The NURBS Book 5.1).
         """
         p, knots = self.degree, self.knots.knots
         s = p + np.flatnonzero(np.diff(knots)[p:self.knots.m - p] > 0)
@@ -214,7 +215,9 @@ class BSplineCurve:
         for k in range(p + 1):
             coef.append(eval_curve_many(curve, lo) * ((hi - lo) ** k / math.factorial(k))[:, None])
             curve = curve.derivative
-        return lo, hi, s - p, np.stack(coef, axis=1)
+        coef = np.stack(coef, axis=1)
+        weights = [[math.comb(j, k) / math.comb(p, k) for k in range(p + 1)] for j in range(p + 1)]
+        return lo, hi, np.array(weights) @ coef, coef
 
 
 def eval_curve_many(curve: BSplineCurve, ts: np.ndarray) -> np.ndarray:

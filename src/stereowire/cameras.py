@@ -161,12 +161,12 @@ def epiline(F: np.ndarray, x_a) -> np.ndarray:
     Raises ZeroLine when F x_A vanishes (x_A is the epipole) or the line
     has no finite direction.
     """
-    x_a = np.asarray(x_a, dtype=float).reshape(2)
-    if not np.all(np.isfinite(x_a)):
+    u, v = np.asarray(x_a, dtype=float).reshape(2).tolist()
+    if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError("point must be finite")
-    l = F @ np.append(x_a, 1.0)
-    d = np.hypot(l[0], l[1])
-    if d <= 1e-12 * max(1.0, np.linalg.norm(l)) or d == 0.0:
+    l = F @ np.array((u, v, 1.0))
+    d = np.hypot(l[0], l[1])  # math.hypot can round the last bit differently
+    if d <= 1e-12 * max(1.0, math.hypot(*l.tolist())) or d == 0.0:
         raise ZeroLine("epiline is degenerate (point at or near the epipole)")
     return l / d
 

@@ -258,10 +258,10 @@ def relax(rod: RodState, tip_target=None, energy_trace: list | None = None) -> R
     as far as a step needs it to descend (N&W 18.36). A step too small for
     the merit to resolve through the tip's rounding counts if the next KKT
     step is shorter. converged says whether the Lagrangian gradient at the
-    KKT multiplier (grad_inf / E = |d|_inf) and the tip residual in mm fell
-    below GRAD_TOL within MAX_ITER steps. Raises UnreachableConstraint for a
-    pin outside the reachable set, and RodOutOfRange when J J^T, the start
-    merit or the reported energy overflows.
+    KKT multiplier (grad_inf / E = |d|_inf) fell below GRAD_TOL and the tip
+    residual in mm below max(GRAD_TOL, the tip's rounding) within MAX_ITER
+    steps. Raises UnreachableConstraint for a pin outside the reachable set,
+    and RodOutOfRange when J J^T, the start merit or the energy overflows.
 
     energy_trace, when given, receives one list per call: the merit at the
     start and after every accepted step (free relax: the energy before and
@@ -275,7 +275,7 @@ def relax(rod: RodState, tip_target=None, energy_trace: list | None = None) -> R
     if energy_trace is not None:
         energy_trace.append(trace)
 
-    iters, gi, resid = 0, 0.0, 0.0
+    iters, gi, resid, tip_tol = 0, 0.0, 0.0, GRAD_TOL
     kappa = omega
     if tip_target is not None:
         target = np.asarray(tip_target, dtype=float).reshape(3)
@@ -286,6 +286,7 @@ def relax(rod: RodState, tip_target=None, energy_trace: list | None = None) -> R
             raise RodOutOfRange(f"a pinned rod {length:g} mm long puts J J^T out of float range")
         kappa = joint_curvatures(rod)
         rounding = _ROUNDING_ULPS * rod.n_segments ** 1.5 * L * np.finfo(float).eps
+        tip_tol = max(GRAD_TOL, rounding)
         rho = float(np.finfo(float).eps)  # no weight is needed until a step asks for one
         state = _kkt_step(kappa, q0, rod.base, L, omega, target)
         # the merit divides the energy by rho: it must stay in float range
@@ -304,7 +305,7 @@ def relax(rod: RodState, tip_target=None, energy_trace: list | None = None) -> R
                 rho = max(rho, (gd + 0.5 * float(np.sum(d * d))) / (0.5 * drop))
             merit = f / rho + resid
             trace.append(merit)
-            if (gi < GRAD_TOL and resid < GRAD_TOL) or iters == MAX_ITER:
+            if (gi < GRAD_TOL and resid < tip_tol) or iters == MAX_ITER:
                 break
             slope = min(0.0, gd / rho - drop)
             alpha = 1.0
@@ -328,7 +329,7 @@ def relax(rod: RodState, tip_target=None, energy_trace: list | None = None) -> R
         raise RodOutOfRange(f"stiffness {rod.stiffness:g} puts the energy out of float range")
     if tip_target is None and energy_trace is not None:
         trace += [bending_energy(rod), energy]
-    return RelaxResult(rod=out, energy=energy, converged=gi < GRAD_TOL and resid < GRAD_TOL,
+    return RelaxResult(rod=out, energy=energy, converged=gi < GRAD_TOL and resid < tip_tol,
                        iterations=iters, grad_inf=rod.stiffness * gi, tip_residual=resid)
 
 

@@ -12,6 +12,7 @@ roots.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,6 +113,15 @@ def _edge_derivative(h0, h1, d0, d1):
 # ---------------------------------------------------------------------------
 # epiline-curve intersection
 
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+
+
+@functools.cache
+def _subdiagonal(p: int) -> np.ndarray:
+    """The ones below the diagonal of a (p, p) companion matrix, as a read-only view."""
+    return np.broadcast_to(np.eye(p, k=-1), (p, p))
+
+
 def _companion_roots(c: np.ndarray) -> np.ndarray:
     """(n, p) complex roots of each f_i(x) = sum_k c[i, k] x^k.
 
@@ -119,15 +129,15 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     to ~eps of the others, sending its root far outside [0, 1].
     """
     n, p = c.shape[0], c.shape[1] - 1
-    floor = np.maximum(np.finfo(float).eps * np.abs(c).max(axis=1), np.finfo(float).tiny)
-    companion = np.zeros((n, p, p))
-    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
-    companion[:, :, -1] = -c[:, :p] / np.where(np.abs(c[:, p]) > floor, c[:, p], floor)[:, None]
+    size = np.abs(c)
+    floor = np.maximum(_EPS * size.max(axis=1), _TINY)
+    companion = np.repeat(_subdiagonal(p)[None], n, axis=0)
+    companion[:, :, -1] = -c[:, :p] / np.where(size[:, p] > floor, c[:, p], floor)[:, None]
     return np.linalg.eigvals(companion)
 
 
-def _unit_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real roots in [0, 1] of each f_i(x) = sum_k c[i, k] x^k, as (i, x) arrays.
+def _unit_roots(c: np.ndarray) -> tuple[list[int], list[float]]:
+    """Real roots in [0, 1] of each f_i(x) = sum_k c[i, k] x^k, as (i, x) lists.
 
     The companion roots near [0, 1], then two Newton steps kept where they
     shrink |f|; a root needs |f| <= ON_LINE_PX. The few candidates are
@@ -135,8 +145,6 @@ def _unit_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     elementwise array form would.
     """
     p = c.shape[1] - 1
-    z = _companion_roots(c).ravel()
-    near = np.flatnonzero(np.abs(z.real - 0.5) < 0.5 + 1e-6)
 
     def value_and_slope(coef, x):
         f, df = coef[p], 0.0
@@ -145,8 +153,9 @@ def _unit_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return f, df
 
     rows, xs = [], []
-    for k, x in zip(near.tolist(), np.clip(z.real[near], 0.0, 1.0).tolist()):
-        coef = c[k // p].tolist()
+    z = _companion_roots(c).real.ravel().tolist()
+    for k in (k for k, x in enumerate(z) if abs(x - 0.5) < 0.5 + 1e-6):
+        coef, x = c[k // p].tolist(), min(max(z[k], 0.0), 1.0)
         f, df = value_and_slope(coef, x)
         for _ in range(2):
             x_new = min(max(x - (f / df if df != 0.0 else 0.0), 0.0), 1.0)
@@ -156,29 +165,28 @@ def _unit_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if abs(f) <= ON_LINE_PX:
             rows.append(k // p)
             xs.append(x)
-    return np.array(rows, dtype=np.intp), np.array(xs)
+    return rows, xs
 
 
 def intersect_epiline(curve_b: BSplineCurve, line) -> list[float]:
     """Parameters u_B where the epiline crosses the annotation spline, increasing.
 
-    The line distance l.C(t) is a spline with control values l.P_i + l_2. Spans
-    whose p+1 values all lie beyond ON_LINE_PX on one side cannot meet the line
-    (convex hull); on the others its polynomial, from the curve's cached power
-    form, is solved exactly. Roots within ON_LINE_PX count, so a line through an
-    end point finds it; a root within 1e-9 of the one before is dropped.
+    On a knot span the line distance l.C(t) has Bezier values l.b_j + l_2; a
+    span whose values all lie beyond ON_LINE_PX on one side misses the line
+    (convex hull). The others' polynomials, from the curve's cached power form,
+    are solved exactly. Roots within ON_LINE_PX count, so a line through an end
+    point finds it; a root within 1e-9 of the one before is dropped.
     """
     line = np.asarray(line, dtype=float).reshape(3)
-    lo, hi, first, coef = curve_b.power_spans
-    values = curve_b.control_points @ line[:2] + line[2]
-    window = values[first[:, None] + np.arange(curve_b.degree + 1)]
-    meets = (window.min(axis=1) <= ON_LINE_PX) & (window.max(axis=1) >= -ON_LINE_PX)
+    lo, hi, bezier, coef = curve_b.power_spans
+    values = bezier @ line[:2] + line[2]
+    meets = ((values.min(axis=1) <= ON_LINE_PX) & (values.max(axis=1) >= -ON_LINE_PX)).nonzero()[0]
     c = coef[meets] @ line[:2]
     c[:, 0] += line[2]
-    span, x = _unit_roots(c)
     # exact at both span ends, so an end-point root is the end parameter
-    roots = np.sort((1.0 - x) * lo[meets][span] + x * hi[meets][span]).tolist()
-    return [r for r, prev in zip(roots, [-np.inf, *roots]) if r - prev > 1e-9]
+    roots = sorted((1.0 - x) * lo.item(meets[i]) + x * hi.item(meets[i])
+                   for i, x in zip(*_unit_roots(c)))
+    return [r for r, prev in zip(roots, [-math.inf, *roots]) if r - prev > 1e-9]
 
 
 # ---------------------------------------------------------------------------
@@ -211,22 +219,19 @@ def match_curves(curve_a: BSplineCurve, curve_b: BSplineCurve,
 
     samples: list[tuple[float, float | None]] = []
     accepted: list[tuple[float, float]] = []
-    last_ub = -np.inf
-    for u_a, x_a in zip(u_as, pts_a):
+    last_ub = -math.inf
+    for u_a, x_a in zip(u_as.tolist(), pts_a):
         try:
-            line = epiline(F, x_a)
-        except ZeroLine:
-            samples.append((float(u_a), MISSING))
-            continue
-        roots = intersect_epiline(curve_b, line)
+            roots = intersect_epiline(curve_b, epiline(F, x_a))
+        except ZeroLine:  # x_a is view B's epipole
+            roots = []
         admissible = [r for r in roots if r >= last_ub - 1e-12]
         if not admissible:
-            samples.append((float(u_a), MISSING))
+            samples.append((u_a, MISSING))
             continue
-        u_b = max(admissible[0], last_ub)  # roots increase; clip jitter below the floor
-        samples.append((float(u_a), float(u_b)))
-        accepted.append((float(u_a), float(u_b)))
-        last_ub = u_b
+        last_ub = max(admissible[0], last_ub)  # roots increase; clip jitter below the floor
+        samples.append((u_a, last_ub))
+        accepted.append((u_a, last_ub))
 
     if len(accepted) < 2:
         raise NoMatches(f"only {len(accepted)} epipolar correspondences found")
@@ -246,15 +251,9 @@ def triangulate_point(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
     PointAtInfinity when the solution's homogeneous weight is ~ 0.
     """
     _check_distinct_centers(cam_a, cam_b)
-    x_a = np.asarray(x_a, dtype=float).reshape(2)
-    x_b = np.asarray(x_b, dtype=float).reshape(2)
-    Pa, Pb = cam_a.P, cam_b.P
-    A = np.array([
-        x_a[0] * Pa[2] - Pa[0],
-        x_a[1] * Pa[2] - Pa[1],
-        x_b[0] * Pb[2] - Pb[0],
-        x_b[1] * Pb[2] - Pb[1],
-    ])
+    P = np.array((cam_a.P, cam_b.P))
+    # rows x P[2] - P[0] and y P[2] - P[1] of view A, then of view B
+    A = (np.array((x_a, x_b), dtype=float).reshape(2, 2, 1) * P[:, 2:] - P[:, :2]).reshape(4, 4)
     _, s, Vt = np.linalg.svd(A)
     if s[-2] <= 1e-9 * s[0]:
         # both rays coincide (e.g. a point on the baseline): no unique solution
@@ -272,17 +271,15 @@ def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray) -> np.ndar
     """Distance from each point q to its nearest point on the curve.
 
     Exact per-span nearest point by companion roots (The NURBS Book 6.1): a
-    span end, or a root of g(x) = C'(x).(C(x) - q) on a span whose Bezier
-    bounding box, which holds the span, is within the nearest span end.
+    span end, or a root of g(x) = C'(x).(C(x) - q) on a span whose bounding
+    box, that of its cached Bezier points (BSplineCurve.power_spans), is within
+    the nearest span end.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     p = curve.degree
-    coef = curve.power_spans[3]
-    # Bezier points b_j = sum_k comb(j, k) / comb(p, k) a_k; b_0 and b_p are the ends
-    to_bezier = np.array([[math.comb(j, k) / math.comb(p, k) for k in range(p + 1)]
-                          for j in range(p + 1)])
+    _, _, bezier, coef = curve.power_spans
     # coordinates first, so each sum over them adds whole slabs
-    bezier = np.moveaxis(to_bezier @ coef, -1, 0)
+    bezier = np.moveaxis(bezier, -1, 0)
     q = points.T[:, :, None]
     ends = np.concatenate([bezier[:, :, 0], bezier[:, -1:, p]], axis=1)
     best = np.sum((q - ends[:, None]) ** 2, axis=0).min(axis=1)
@@ -331,9 +328,7 @@ def reconstruct_curve(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
     u_bs = np.clip(match.interpolant(u_as), *curve_b.domain)
     pts_a = eval_curve_many(curve_a, u_as)
     pts_b = eval_curve_many(curve_b, u_bs)
-    world = np.array([
-        triangulate_point(cam_a, cam_b, xa, xb) for xa, xb in zip(pts_a, pts_b)
-    ])
+    world = np.array([triangulate_point(cam_a, cam_b, xa, xb) for xa, xb in zip(pts_a, pts_b)])
     curve3d = fit_curve(world)
 
     err_a = point_to_curve_distances(curve_a, project_many(cam_a, world))

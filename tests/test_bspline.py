@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -218,12 +220,16 @@ def test_power_spans_reproduce_the_curve(rng):
     for p in (1, 2, 3, 5):
         kv = random_repeated_kv(rng, p)
         curve = BSplineCurve(rng.normal(size=(kv.n_basis, 2)), kv)
-        lo, hi, _, coef = curve.power_spans
+        lo, hi, bezier, coef = curve.power_spans
+        bernstein = [math.comb(p, j) for j in range(p + 1)]
         for s in range(len(lo)):
             x = rng.uniform(0.0, 1.0, 5)
             t = lo[s] + x * (hi[s] - lo[s])
             power = np.polynomial.polynomial.polyval(x, coef[s]).T
             assert np.abs(power - eval_curve_many(curve, t)).max() < 1e-10
+            weights = np.array([b * x ** j * (1.0 - x) ** (p - j) for j, b in enumerate(bernstein)])
+            assert np.abs(weights.T @ bezier[s] - power).max() < 1e-10
+        assert np.array_equal(bezier[:, 0], coef[:, 0])  # the span starts
 
 
 # ------------------------------------------------------------- eval_curve

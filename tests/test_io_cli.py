@@ -447,6 +447,18 @@ def test_relax_command_readme_example_converges(tmp_path, capsys):
     assert float(out.split("tip_residual_mm=")[1]) < 1e-9
 
 
+def test_relax_command_large_rod_pin_converges(tmp_path, capsys):
+    # the README pin at 1e7 mm segments: its tip rounds to about 2.9e-6 mm,
+    # above GRAD_TOL, so a pin met within that rounding is met
+    rc = main(["relax", "--out", str(tmp_path / "q.json"), "--segment-length", "1e7",
+               "--n-segments", "30", "--tip-angle", "0.8", "--seed", "4",
+               "--tip-target", "5e7,0,2.5e8"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "converged=True" in out
+    assert float(out.split("tip_residual_mm=")[1]) < 2.9e-6
+
+
 def readme_relax_example() -> tuple[list[str], str]:
     """The README's relax command as argv, and the line it documents as its output."""
     text = README.read_text()

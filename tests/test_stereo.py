@@ -3,6 +3,7 @@ import pytest
 
 import stereowire as sw
 from stereowire import io as swio
+from stereowire import stereo
 from stereowire.bspline import BSplineCurve, eval_curve_many, fit_curve, sample_uniform
 from stereowire.cameras import ProjectiveCamera, fundamental_matrix, project_many
 from stereowire.cli import main
@@ -212,6 +213,64 @@ def test_intersect_matches_dense_sign_change_oracle():
             for a, b in zip(_unit_roots(c), array_polished_unit_roots(c)):
                 assert np.array_equal(a, b)
     assert total > 50  # the lines really cross the curves
+
+
+def control_window_roots(curve, line):
+    """intersect_epiline under the de Boor control-window cull: a span is solved
+    unless the line values of its p+1 control points all lie beyond ON_LINE_PX
+    on one side."""
+    p, knots = curve.degree, curve.knots.knots
+    first = np.flatnonzero(np.diff(knots)[p:curve.knots.m - p] > 0)
+    lo, hi, _, coef = curve.power_spans
+    values = curve.control_points @ line[:2] + line[2]
+    window = values[first[:, None] + np.arange(p + 1)]
+    meets = (window.min(axis=1) <= ON_LINE_PX) & (window.max(axis=1) >= -ON_LINE_PX)
+    c = coef[meets] @ line[:2]
+    c[:, 0] += line[2]
+    rows, xs = _unit_roots(c)
+    span, x = np.array(rows, dtype=np.intp), np.array(xs)
+    roots = np.sort((1.0 - x) * lo[meets][span] + x * hi[meets][span]).tolist()
+    return [r for r, prev in zip(roots, [-np.inf, *roots]) if r - prev > 1e-9]
+
+
+def test_bezier_cull_keeps_every_control_window_root():
+    # a span's Bezier hull lies inside its control window, so the tighter
+    # cull may only drop spans the line misses
+    rng = np.random.default_rng(31)
+    total = 0
+    for p in (1, 2, 3, 5):
+        for _ in range(20):
+            kv = random_repeated_kv(rng, p)
+            curve = BSplineCurve(rng.normal(size=(kv.n_basis, 2)) * 50 + 500, kv)
+            lo, hi = curve.domain
+            on_curve = eval_curve_many(curve, [lo, hi, *rng.uniform(lo, hi, 3)])
+            near = curve.control_points[rng.integers(kv.n_basis, size=3)]
+            off_curve = near + rng.normal(0.0, 20.0, (3, 2))
+            for through in (*on_curve, *off_curve):
+                line = line_through(through, rng.uniform(0.0, np.pi))
+                roots = intersect_epiline(curve, line)
+                assert roots == control_window_roots(curve, line)
+                total += len(roots)
+    assert total > 400  # the lines really cross the curves
+
+
+def test_bezier_cull_solves_one_span_per_epiline(tmp_path, monkeypatch):
+    # the control-window cull solved 2.9 spans per epiline on this frame
+    out = tmp_path / "frame"
+    assert main(["synth", "--out", str(out), "--seed", "3", "--noise-px", "1"]) == 0
+    cam_a, cam_b = (swio.load_camera(out / f"camera_{v}.json") for v in "ab")
+    curve_a, curve_b = (fit_curve(swio.load_annotation(out / f"annotation_{v}.json")[2])
+                        for v in "ab")
+    solved = []
+
+    def spy(c):
+        solved.append(len(c))
+        return _unit_roots(c)
+
+    monkeypatch.setattr(stereo, "_unit_roots", spy)
+    reconstruct_curve(cam_a, cam_b, curve_a, curve_b)
+    assert len(solved) == 64
+    assert sum(solved) / len(solved) <= 1.0
 
 
 # ------------------------------------------------------------- match_curves
