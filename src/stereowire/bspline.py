@@ -5,10 +5,10 @@ each repeated degree+1 times) built by knot averaging, so fitted curves
 interpolate their end points. Basis functions follow the two-term
 recursion with the 0/0 -> 0 convention; the degree-0 indicator is closed
 on the right at the evaluation-domain end t_(m-p) so curves are defined
-at their last parameter. All evaluation is one batched kernel (span
-search and triangular recursion, The NURBS Book A2.2) of elementwise
-array operations, so a result does not depend on its batch; the
-recursive ``basis`` is the reference it is tested against.
+at their last parameter. All evaluation, a single basis value included,
+is one batched kernel (span search and triangular recursion, The NURBS
+Book A2.2) of elementwise array operations, so a result does not depend
+on its batch.
 """
 
 from __future__ import annotations
@@ -96,37 +96,6 @@ def averaged_knots(u: np.ndarray, degree: int) -> KnotVector:
     interior /= p
     knots = np.concatenate([np.full(p + 1, u[0]), interior, np.full(p + 1, u[-1])])
     return KnotVector(knots, p)
-
-
-def _cox_de_boor(i: int, p: int, t: float, knots: np.ndarray, t_close: float) -> float:
-    """Two-term basis recursion; the indicator closes right at t_close."""
-    if p == 0:
-        if knots[i] <= t < knots[i + 1]:
-            return 1.0
-        if t == t_close and knots[i + 1] == t_close and knots[i] < knots[i + 1]:
-            return 1.0
-        return 0.0
-    out = 0.0
-    d1 = knots[i + p] - knots[i]
-    if d1 > 0.0:
-        out += (t - knots[i]) / d1 * _cox_de_boor(i, p - 1, t, knots, t_close)
-    d2 = knots[i + p + 1] - knots[i + 1]
-    if d2 > 0.0:
-        out += (knots[i + p + 1] - t) / d2 * _cox_de_boor(i + 1, p - 1, t, knots, t_close)
-    return out
-
-
-def basis(i: int, p: int, t: float, kv: KnotVector) -> float:
-    """Value of the i-th degree-p basis function at t.
-
-    Raises IndexOutOfRange unless 0 <= i <= m - p - 1.
-    """
-    knots = kv.knots
-    m = knots.size - 1
-    if not 0 <= i <= m - p - 1:
-        raise IndexOutOfRange(f"basis index {i} outside 0..{m - p - 1}")
-    t_close = float(knots[m - p])
-    return _cox_de_boor(i, p, float(t), knots, t_close)
 
 
 def _find_spans(knots: np.ndarray, p: int, ts: np.ndarray) -> np.ndarray:
@@ -240,6 +209,21 @@ def eval_curve_many(curve: BSplineCurve, ts: np.ndarray) -> np.ndarray:
     for k in range(1, p + 1):
         out += N[k][:, None] * cp[spans - p + k]
     return out
+
+
+def basis(i: int, p: int, t: float, kv: KnotVector) -> float:
+    """Value of the i-th degree-p basis function at t over kv's knots.
+
+    The batched kernel's value at t of the curve whose control points are
+    the unit vector e_i. Raises IndexOutOfRange unless 0 <= i <= m - p - 1,
+    and OutOfDomain, as every evaluator does, unless t lies within 1e-10
+    (relative) of the evaluation domain [t_p, t_(m-p)].
+    """
+    kv = KnotVector(kv.knots, p)
+    if not 0 <= i < kv.n_basis:
+        raise IndexOutOfRange(f"basis index {i} outside 0..{kv.n_basis - 1}")
+    unit = np.eye(kv.n_basis)[:, [i]]
+    return float(eval_curve_many(BSplineCurve(unit, kv), [t])[0, 0])
 
 
 def dedupe_points(points: np.ndarray) -> np.ndarray:

@@ -206,15 +206,12 @@ def calibrate_dlt(
     xh = np.hstack([pixel, np.ones((len(pixel), 1))]) @ T_px.T
     Xh = np.hstack([world, np.ones((len(world), 1))]) @ T_w.T
 
-    n = len(correspondences)
-    A = np.zeros((2 * n, 12))
-    for i in range(n):
-        X = Xh[i]
-        u, v = xh[i, 0], xh[i, 1]
-        A[2 * i, 4:8] = -X
-        A[2 * i, 8:12] = v * X
-        A[2 * i + 1, 0:4] = X
-        A[2 * i + 1, 8:12] = -u * X
+    # rows (0, -X, v X) and (X, 0, -u X) of each correspondence
+    A = np.zeros((2 * len(correspondences), 12))
+    A[0::2, 4:8] = -Xh
+    A[0::2, 8:12] = xh[:, 1, None] * Xh
+    A[1::2, 0:4] = Xh
+    A[1::2, 8:12] = -xh[:, 0, None] * Xh
 
     _, s, Vt = np.linalg.svd(A)
     if s[-2] <= 1e-10 * s[0]:

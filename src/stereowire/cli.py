@@ -137,7 +137,7 @@ def cmd_evaluate(args) -> int:
             row = (em.path_length[i], em.safety[i], em.f_max[i], em.f_mean[i], em.spl)
             print(f"{i}," + ",".join(_fmt(v) for v in row))
         return 0
-    raise ParseError("evaluate takes PRED TRUTH curve files or one episode file")
+    raise ParseError("evaluate takes PRED TRUTH curve or report files, or one episode file")
 
 
 def cmd_relax(args) -> int:

@@ -200,9 +200,12 @@ def curve_from_dict(obj: dict, what: str) -> BSplineCurve:
 
 
 def load_curve(path) -> BSplineCurve:
+    """The curve of a curve file, or of a report file checked as load_report checks it."""
     obj = _load(path)
     if isinstance(obj, dict) and ("tip" in obj or "goal" in obj):
         raise SchemaMismatch(f"{path}: looks like an episode file, expected a curve")
+    if isinstance(obj, dict) and "curve" in obj:
+        return _report_from_dict(obj, f"report file {path}")["curve"]
     return curve_from_dict(obj, f"curve file {path}")
 
 
@@ -256,10 +259,11 @@ def save_report(frame: int, accepted: bool, mean_reproj_px: float,
 
 
 def load_report(path) -> dict:
-    obj = _load(path)
-    _check_keys(obj, ("frame", "accepted", "mean_reproj_px", "curve"), (),
-                f"report file {path}")
-    what = f"report file {path}"
+    return _report_from_dict(_load(path), f"report file {path}")
+
+
+def _report_from_dict(obj: dict, what: str) -> dict:
+    _check_keys(obj, ("frame", "accepted", "mean_reproj_px", "curve"), (), what)
     if not isinstance(obj["accepted"], bool):
         raise ParseError(f"{what}: accepted must be a boolean")
     return {"frame": int(_numbers(obj["frame"], f"{what}: frame", integer=True)),

@@ -135,10 +135,12 @@ def reward(h, g) -> float:
     return TERMINAL_REWARD if d <= GOAL_RADIUS_MM else -d
 
 
-def force_magnitude(f) -> float:
-    """Euclidean norm of a force vector (N)."""
-    f = np.asarray(f, dtype=float).reshape(3)
-    return float(np.sqrt(f[0] ** 2 + f[1] ** 2 + f[2] ** 2))
+def force_magnitude(f):
+    """Euclidean norm of force vectors over a last axis of 3 (N); a float for one vector."""
+    f = np.asarray(f, dtype=float)
+    if f.shape[-1:] != (3,):
+        raise ValueError(f"force vectors need a last axis of 3, got shape {f.shape}")
+    return np.linalg.norm(f, axis=-1)[()]
 
 
 def path_length(tip_positions: np.ndarray) -> float:
@@ -160,19 +162,16 @@ def episode_metrics(episodes: list[Episode]) -> EpisodeMetrics:
     """
     if not episodes:
         raise ValueError("need at least one episode")
-    n = len(episodes)
     lengths = np.array([path_length(ep.tip_positions) for ep in episodes])
-    safety = np.empty(n)
-    f_max = np.empty(n)
-    f_mean = np.empty(n)
-    for i, ep in enumerate(episodes):
-        if len(ep.forces) == 0:
-            safety[i], f_max[i], f_mean[i] = 1.0, 0.0, 0.0
-            continue
-        mags = np.linalg.norm(ep.forces, axis=1)
-        safety[i] = 1.0 - float(np.mean(mags >= FORCE_LIMIT_N))
-        f_max[i] = float(mags.max())
-        f_mean[i] = float(mags.mean())
+    # one row of magnitudes per episode, zero past its last force sample
+    counts = np.array([len(ep.forces) for ep in episodes])
+    held = np.arange(counts.max()) < counts[:, None]
+    mags = np.zeros(held.shape)
+    mags[held] = force_magnitude(np.concatenate([ep.forces for ep in episodes]))
+    per = np.maximum(counts, 1)
+    safety = 1.0 - np.count_nonzero(mags >= FORCE_LIMIT_N, axis=1) / per
+    f_max = mags.max(axis=1, initial=0.0)
+    f_mean = mags.sum(axis=1, where=held) / per
 
     success = np.array([ep.success for ep in episodes], dtype=bool)
     any_success = bool(success.any())

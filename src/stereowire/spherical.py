@@ -43,17 +43,20 @@ def sph_to_cart(r: float, theta, phi) -> np.ndarray:
     return np.stack([r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)], axis=-1)
 
 
-def cart_to_sph(v) -> tuple[float, float, float]:
-    """Inverse transform; (0,0,0) maps to (0,0,0), phi wraps to (-pi, pi]."""
-    v = np.asarray(v, dtype=float).reshape(3)
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
-        return 0.0, 0.0, 0.0
-    theta = float(np.arccos(np.clip(v[2] / r, -1.0, 1.0)))
-    phi = float(np.arctan2(v[1], v[0]))
-    if phi <= -np.pi:
-        phi += 2.0 * np.pi
-    return r, theta, phi
+def cart_to_sph(v):
+    """Inverse transform over a last axis of 3, as (r, theta, phi) of the leading
+    shape (floats for one vector); a zero vector maps to (0,0,0), phi wraps to (-pi, pi]."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"vectors need a last axis of 3, got shape {v.shape}")
+    x, y, z = np.moveaxis(v, -1, 0)
+    # np.linalg.norm's dot product of one vector: near the axis arccos magnifies r's last bit
+    r = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+    zero = r == 0.0
+    theta = np.arccos(np.clip(np.divide(z, r, out=np.ones_like(r), where=~zero), -1.0, 1.0))
+    phi = np.where(zero, 0.0, np.arctan2(y, x))
+    phi = np.where(phi <= -np.pi, phi + 2.0 * np.pi, phi)
+    return r[()], theta[()], phi[()]
 
 
 def encode_chain(points) -> SphericalChain:
@@ -65,13 +68,11 @@ def encode_chain(points) -> SphericalChain:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) < 2:
         raise ValueError("need at least two points")
-    steps = np.diff(points, axis=0)
-    lengths = np.linalg.norm(steps, axis=1)
+    lengths, theta, phi = cart_to_sph(np.diff(points, axis=0))
     s = float(lengths.mean())
     if s <= 0.0 or np.any(np.abs(lengths - s) > 0.01 * s):
         raise NonUniformSpacing("consecutive spacing deviates > 1% from its mean")
-    offsets = np.array([cart_to_sph(d)[1:] for d in steps])
-    return SphericalChain(tip=points[0], r=s, offsets=offsets)
+    return SphericalChain(tip=points[0], r=s, offsets=np.column_stack([theta, phi]))
 
 
 def decode_chain(chain: SphericalChain) -> np.ndarray:

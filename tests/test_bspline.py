@@ -29,7 +29,7 @@ from stereowire.errors import (
 
 def basis_table_oracle(kv: KnotVector, p: int, t: float) -> np.ndarray:
     """Bottom-up table of all basis values at t, independent of the package
-    recursion. Degree-0 row is the closed-right indicator; each row applies
+    kernel. Degree-0 row is the closed-right indicator; each row applies
     the two-term recurrence with 0/0 -> 0."""
     knots = kv.knots
     m = len(knots) - 1
@@ -137,6 +137,15 @@ def test_basis_index_out_of_range():
         basis(-1, 3, 0.5, kv)
 
 
+def test_basis_out_of_domain_raises_like_every_evaluator():
+    kv = clamped_uniform_knots(6, 3)
+    for t in (-0.1, 1.1, np.nan):
+        with pytest.raises(OutOfDomain):
+            basis(0, 3, t, kv)
+    assert basis(0, 3, -1e-12, kv) == 1.0  # within 1e-10 of the domain: clamped
+    assert basis(5, 3, 1.0 + 1e-12, kv) == 1.0
+
+
 def test_basis_partition_of_unity(rng):
     kv = clamped_uniform_knots(9, 3)
     lo, hi = kv.domain
@@ -170,8 +179,7 @@ def test_kernel_matches_recursive_basis(rng, p):
         for col, t in enumerate(ts):
             full = np.zeros(kv.n_basis)
             full[spans[col] - p:spans[col] + 1] = rows[:, col]
-            oracle = [basis(i, p, t, kv) for i in range(kv.n_basis)]
-            assert np.abs(full - oracle).max() < 1e-12
+            assert np.abs(full - basis_table_oracle(kv, p, t)).max() < 1e-12
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])

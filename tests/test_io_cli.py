@@ -384,6 +384,42 @@ def test_evaluate_identical_curves_all_zero(tmp_path, capsys):
     assert got[1] == "0,0,0,0"
 
 
+def test_evaluate_reads_the_report_reconstruct_writes(tmp_path, capsys):
+    out = synth_dir(tmp_path, seed=3, noise=1.0)
+    report = out / "report.json"
+    assert main(["reconstruct", "--camera-a", str(out / "camera_a.json"),
+                 "--camera-b", str(out / "camera_b.json"),
+                 "--annotations", str(out / "annotation_a.json"), str(out / "annotation_b.json"),
+                 "--out", str(report)]) == 0
+    (out / "pred_curve.json").write_text(json.dumps(json.loads(report.read_text())["curve"]))
+    capsys.readouterr()
+    assert main(["evaluate", str(report), str(out / "truth_curve.json")]) == 0
+    from_report = capsys.readouterr().out
+    assert main(["evaluate", str(out / "pred_curve.json"), str(out / "truth_curve.json")]) == 0
+    assert from_report == capsys.readouterr().out
+    assert from_report.splitlines()[0] == "max_ed_mm,mete_mm,mers_mm,frechet_mm"
+
+
+def readme_flow() -> list[list[str]]:
+    """The README's synth command and its reconstruct-and-evaluate block, as argv."""
+    blocks = re.findall(r"```sh\n(stereowire (?:synth|reconstruct) .*?)```",
+                        README.read_text(), re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.strip()]
+
+
+def test_readme_reconstruct_and_evaluate_flow_runs_as_written(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the relative data/ paths
+    flow = readme_flow()
+    assert [argv[0] for argv in flow] == ["synth", "reconstruct", "evaluate"]
+    for argv in flow:
+        capsys.readouterr()
+        assert main(argv) == 0, argv
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "max_ed_mm,mete_mm,mers_mm,frechet_mm"
+    assert all(math.isfinite(float(v)) for v in row.split(",")) and row.count(",") == 3
+
+
 def test_evaluate_episode_single_step(tmp_path, capsys):
     ep = Episode(tip_positions=np.array([[1.0, 2.0, 3.0]]), forces=np.zeros((0, 3)),
                  goal=np.zeros(3), success=True)
@@ -687,6 +723,8 @@ def test_report_and_episode_numeric_fields_checked(tmp_path, rng):
         bad.write_text(json.dumps(obj))
         with pytest.raises(ParseError, match=field):
             swio.load_report(bad)
+        with pytest.raises(ParseError, match=field):
+            swio.load_curve(bad)
     ep = {"tip": [[0.0, 0.0, 0.0]], "forces": [], "goal": [1.0, 0.0, 0.0], "success": True}
     for field, value in (("max_steps", 2.5), ("goal", [1.0, True, 0.0]), ("forces", [[1, 2]])):
         bad = tmp_path / f"ep_{field}.json"
@@ -782,18 +820,20 @@ def test_cli_mutation_fuzz_keeps_the_exit_contract(fuzz_frame, tmp_path, capsys)
         paths[name] = tmp_path / name
         paths[name].write_text(text)
         if name == "truth_curve.json":
-            argv = ["evaluate", str(fuzz_frame / "truth_curve.json"), str(paths[name])]
+            argvs = [["evaluate", str(fuzz_frame / "truth_curve.json"), str(paths[name])]]
         elif name == "report.json":
-            argv = ["evaluate", str(paths[name])]
+            argvs = [["evaluate", str(paths[name])],
+                     ["evaluate", str(paths[name]), str(fuzz_frame / "truth_curve.json")]]
         else:
-            argv = ["reconstruct", "--camera-a", str(paths["camera_a.json"]),
-                    "--camera-b", str(paths["camera_b.json"]),
-                    "--annotations", str(paths["annotation_a.json"]),
-                    str(paths["annotation_b.json"]), "--out", str(tmp_path / "out.json")]
-        capsys.readouterr()
-        rc = main(argv)
-        err = capsys.readouterr().err
-        if not ((rc == 0 and err == "") or
-                (rc == 1 and err.startswith("error:") and len(err.strip().splitlines()) == 1)):
-            broken.append((case, name, rc, err))
+            argvs = [["reconstruct", "--camera-a", str(paths["camera_a.json"]),
+                      "--camera-b", str(paths["camera_b.json"]),
+                      "--annotations", str(paths["annotation_a.json"]),
+                      str(paths["annotation_b.json"]), "--out", str(tmp_path / "out.json")]]
+        for argv in argvs:
+            capsys.readouterr()
+            rc = main(argv)
+            err = capsys.readouterr().err
+            if not ((rc == 0 and err == "") or
+                    (rc == 1 and err.startswith("error:") and len(err.strip().splitlines()) == 1)):
+                broken.append((case, argv, rc, err))
     assert not broken

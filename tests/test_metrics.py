@@ -214,6 +214,17 @@ def test_force_magnitude_cases(rng):
         assert force_magnitude(f) == pytest.approx(np.sqrt((f * f).sum()), abs=1e-15)
 
 
+def test_force_magnitude_broadcasts(rng):
+    f = rng.normal(size=(3, 4, 3))
+    mags = force_magnitude(f)
+    assert mags.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        assert mags[idx] == force_magnitude(f[idx])
+    for shape in ((2,), (4,), (5, 2), ()):
+        with pytest.raises(ValueError):
+            force_magnitude(np.ones(shape))
+
+
 # ------------------------------------------------------------- episodes
 
 def episode(path, success, forces=(), goal=(0.0, 0.0, 0.0)):
@@ -281,6 +292,27 @@ def test_empty_forces_counts_safe():
     assert em.safety[0] == 1.0
     assert em.f_max[0] == 0.0 and em.f_mean[0] == 0.0
     assert em.path_length[0] == 0.0
+
+
+def episode_loop_oracle(episodes):
+    """Safety, f_max and f_mean one episode at a time (0 forces: 1, 0, 0)."""
+    rows = []
+    for ep in episodes:
+        mags = np.linalg.norm(ep.forces, axis=1)
+        rows.append((1.0 - float(np.mean(mags >= 2.0)), float(mags.max()), float(mags.mean()))
+                    if len(mags) else (1.0, 0.0, 0.0))
+    return np.array(rows).T
+
+
+def test_episode_force_stats_match_the_loop_bit_for_bit(rng):
+    for _ in range(20):
+        eps = [episode(np.zeros((n, 3)), True,
+                       forces=rng.normal(0.0, 1.5, (n, 3)) if rng.random() < 0.7 else ())
+               for n in rng.integers(1, 300, rng.integers(1, 8))]
+        em = episode_metrics(eps)
+        assert np.array_equal(np.array([em.safety, em.f_max, em.f_mean]), episode_loop_oracle(eps))
+    em = episode_metrics([episode([[0, 0, 0]], True), episode([[1, 0, 0]], False)])
+    assert np.array_equal(np.array([em.safety, em.f_max, em.f_mean]), [[1, 1], [0, 0], [0, 0]])
 
 
 def test_path_length_matches_sum(rng):

@@ -55,6 +55,25 @@ def test_cart_to_sph_origin_convention():
     assert cart_to_sph([0.0, 0.0, 0.0]) == (0.0, 0.0, 0.0)
 
 
+def test_cart_to_sph_broadcasts_as_one_vector_at_a_time(rng):
+    v = rng.normal(size=(4, 5, 3)) * rng.uniform(0.1, 50.0, (4, 5, 1))
+    v[0, 0] = 0.0
+    v[0, 1] = [1e-9, -2e-9, 3.0]  # near the axis, where arccos magnifies r's last bit
+    v[0, 2] = [-1.0, -0.0, 0.0]   # phi = -pi wraps to pi
+    r, th, ph = cart_to_sph(v)
+    assert r.shape == th.shape == ph.shape == (4, 5)
+    for idx in np.ndindex(4, 5):
+        assert (r[idx], th[idx], ph[idx]) == cart_to_sph(v[idx])
+    assert (r[0, 0], th[0, 0], ph[0, 0]) == (0.0, 0.0, 0.0)
+    assert ph[0, 2] == np.pi
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (5, 2), ()])
+def test_cart_to_sph_needs_a_last_axis_of_3(shape):
+    with pytest.raises(ValueError):
+        cart_to_sph(np.ones(shape))
+
+
 def test_round_trip_random_vectors(rng):
     for _ in range(1000):
         v = rng.normal(size=3) * rng.uniform(0.1, 50.0)

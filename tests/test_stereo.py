@@ -10,6 +10,7 @@ from stereowire.cli import main
 from stereowire.errors import CoincidentCenters, NoMatches, NonMonotoneInput, PointAtInfinity
 from stereowire.rig import default_rig
 from stereowire.stereo import (
+    MISSING,
     ON_LINE_PX,
     _companion_roots,
     _unit_roots,
@@ -21,7 +22,7 @@ from stereowire.stereo import (
     triangulate_point,
 )
 
-from conftest import random_stereo_rig
+from conftest import random_rotation, random_stereo_rig
 from test_bspline import random_repeated_kv
 
 
@@ -448,6 +449,33 @@ def test_reconstruct_noisy_still_accepted():
     rep = reconstruct_curve(cam_a, cam_b, fit_curve(ann_a), fit_curve(ann_b), 64)
     assert rep.accepted
     assert rep.mean_reproj_px <= 3.0
+
+
+@pytest.mark.parametrize("seed, noise", [(0, 0.0), (5, 0.0), (3, 1.0), (7, 1.0), (4, 3.0)])
+def test_similarity_of_world_and_cameras_carries_the_reconstruction(tmp_path, seed, noise):
+    # X' = T X and P' = P T^-1 leave every pixel where it was, so the curve
+    # must come out as T C. The homogeneous DLT (H&Z 12.2) is invariant
+    # under a non-orthogonal T only where the two rays meet, as they do at
+    # a matched sample, so these frames match every sample.
+    out = tmp_path / "frame"
+    assert main(["synth", "--out", str(out), "--seed", str(seed), "--noise-px", str(noise)]) == 0
+    cam_a, cam_b = (swio.load_camera(out / f"camera_{v}.json") for v in "ab")
+    curve_a, curve_b = (fit_curve(swio.load_annotation(out / f"annotation_{v}.json")[2])
+                        for v in "ab")
+    match = match_curves(curve_a, curve_b, fundamental_matrix(cam_a, cam_b))
+    assert all(u_b is not MISSING for _, u_b in match.samples)
+    base = reconstruct_curve(cam_a, cam_b, curve_a, curve_b).curve
+    rng = np.random.default_rng(seed)
+    for scale in (0.5, 2.0):
+        T = np.eye(4)
+        T[:3, :3] = scale * random_rotation(rng)
+        T[:3, 3] = rng.uniform(-100.0, 100.0, 3)
+        moved = [ProjectiveCamera(cam.P @ np.linalg.inv(T), cam.image_size)
+                 for cam in (cam_a, cam_b)]
+        got = reconstruct_curve(*moved, curve_a, curve_b).curve
+        assert np.abs(got.knots.knots - base.knots.knots).max() < 1e-10
+        want = base.control_points @ T[:3, :3].T + T[:3, 3]
+        assert np.abs(got.control_points - want).max() < 1e-9 * scale
 
 
 def test_reconstruct_unrelated_curve_rejected():
