@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -174,8 +174,8 @@ class BSplineCurve:
 
         On s, C(t) = sum_k coef[s, k] x^k with x = (t - lo[s]) / (hi[s] - lo[s]),
         Taylor terms C^(k)(lo) (hi - lo)^k / k! from the hodographs. bezier[s] holds
-        the span's p+1 Bezier points sum_k comb(j, k) / comb(p, k) coef[s, k], from
-        its start to its end; their convex hull holds it (The NURBS Book 5.1).
+        the span's p+1 Bezier points bernstein_matrix(p) @ coef[s], from its start
+        to its end; their convex hull holds it (The NURBS Book 5.1).
         """
         p, knots = self.degree, self.knots.knots
         s = p + np.flatnonzero(np.diff(knots)[p:self.knots.m - p] > 0)
@@ -185,8 +185,16 @@ class BSplineCurve:
             coef.append(eval_curve_many(curve, lo) * ((hi - lo) ** k / math.factorial(k))[:, None])
             curve = curve.derivative
         coef = np.stack(coef, axis=1)
-        weights = [[math.comb(j, k) / math.comb(p, k) for k in range(p + 1)] for j in range(p + 1)]
-        return lo, hi, np.array(weights) @ coef, coef
+        return lo, hi, bernstein_matrix(p) @ coef, coef
+
+
+@cache
+def bernstein_matrix(p: int) -> np.ndarray:
+    """Read-only (p+1, p+1) map from the power coefficients a of a degree-p polynomial
+    on [0, 1] to its Bernstein coefficients b_j = sum_k comb(j, k) / comb(p, k) a_k."""
+    m = np.array([[math.comb(j, k) / math.comb(p, k) for k in range(p + 1)] for j in range(p + 1)])
+    m.flags.writeable = False
+    return m
 
 
 def eval_curve_many(curve: BSplineCurve, ts: np.ndarray) -> np.ndarray:

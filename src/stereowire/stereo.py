@@ -6,19 +6,20 @@ monotone parameter correspondence (filled through missing samples by a
 monotone cubic Hermite interpolant), triangulates the matched pairs, fits
 a 3D cubic through them, and gates the result on the mean reprojection
 error (25 px over both views pooled). The reprojection residual is a
-point-to-curve distance: the exact per-span nearest point by companion
-roots.
+point-to-curve distance: the exact per-span nearest point. Both the
+intersection and the residual find their roots with one real-root finder
+in Python floats: Descartes' rule of signs on Bernstein coefficients, then
+guarded Newton on each bracketed root.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import BSplineCurve, eval_curve_many, fit_curve, sample_uniform
+from .bspline import BSplineCurve, bernstein_matrix, eval_curve_many, fit_curve, sample_uniform
 from .cameras import (
     ProjectiveCamera,
     _check_distinct_centers,
@@ -113,59 +114,74 @@ def _edge_derivative(h0, h1, d0, d1):
 # ---------------------------------------------------------------------------
 # epiline-curve intersection
 
-_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+def _value_and_slope(coef: list[float], x: float) -> tuple[float, float]:
+    """f(x) and f'(x) of f(x) = sum_k coef[k] x^k, by Horner's rule."""
+    f, df = coef[-1], 0.0
+    for a in coef[-2::-1]:
+        f, df = f * x + a, df * x + f
+    return f, df
 
 
-@functools.cache
-def _subdiagonal(p: int) -> np.ndarray:
-    """The ones below the diagonal of a (p, p) companion matrix, as a read-only view."""
-    return np.broadcast_to(np.eye(p, k=-1), (p, p))
+def _bracket_root(coef: list[float], a: float, fa: float, b: float, fb: float) -> float:
+    """The one root of f in [a, b], where fa = f(a) and fb = f(b) differ in sign: Newton from
+    regula falsi, bisecting where a step would leave the shrinking bracket, until a step
+    would move x by at most 2 ulps or no float lies inside the bracket."""
+    x = a - fa * (b - a) / (fb - fa)
+    while True:
+        f, df = _value_and_slope(coef, x)
+        if f == 0.0:
+            return x
+        a, b = (x, b) if (f < 0.0) == (fa < 0.0) else (a, x)
+        x_new = x - f / df if df != 0.0 else a
+        if not a < x_new < b:
+            x_new = 0.5 * (a + b)
+        if not a < x_new < b or abs(x_new - x) <= 2.0 * math.ulp(x):
+            return x
+        x = x_new
 
 
-def _companion_roots(c: np.ndarray) -> np.ndarray:
-    """(n, p) complex roots of each f_i(x) = sum_k c[i, k] x^k.
+def _real_roots(coef: list[float], bern: list[float], tol: float) -> list[float]:
+    """Increasing real roots in [0, 1] of f(x) = sum_k coef[k] x^k, of Bernstein coefficients bern.
 
-    Companion-matrix eigenvalues; a vanishing leading coefficient is raised
-    to ~eps of the others, sending its root far outside [0, 1].
+    Descartes' rule of signs on bern (Rouillier and Zimmermann 2004): no root
+    when bern lies beyond tol on one side, one when bern changes sign once and
+    f(0) = bern[0], f(1) = bern[-1] lie beyond tol on opposite sides. Else the
+    roots of f' (tol 0) split [0, 1] into monotone pieces, with a root in each
+    piece whose ends differ in sign and at each piece end where |f| <= tol and
+    no sign changes beside it (so f = 0 has the roots 0 and 1).
     """
-    n, p = c.shape[0], c.shape[1] - 1
-    size = np.abs(c)
-    floor = np.maximum(_EPS * size.max(axis=1), _TINY)
-    companion = np.repeat(_subdiagonal(p)[None], n, axis=0)
-    companion[:, :, -1] = -c[:, :p] / np.where(size[:, p] > floor, c[:, p], floor)[:, None]
-    return np.linalg.eigvals(companion)
+    if min(bern) > tol or max(bern) < -tol or len(coef) == 1:
+        return []
+    f0, f1 = bern[0], bern[-1]
+    signs = [b > 0.0 for b in bern if b != 0.0]
+    if min(abs(f0), abs(f1)) > tol and sum(s != t for s, t in zip(signs, signs[1:])) == 1:
+        return [_bracket_root(coef, 0.0, f0, 1.0, f1)]
+    p = len(coef) - 1
+    turns = _real_roots([k * a for k, a in enumerate(coef)][1:],
+                        [p * (b - a) for a, b in zip(bern, bern[1:])], 0.0)
+    ts = [0.0, *(x for x in turns if 0.0 < x < 1.0), 1.0]
+    fs = [f0, *(_value_and_slope(coef, x)[0] for x in ts[1:-1]), f1]
+    # within Horner's rounding bound (Higham 2002, eq. 5.3) f is 0, so a double root is one root
+    size = [abs(a) for a in coef]
+    fs = [f if abs(f) > 2 * p * math.ulp(1.0) * _value_and_slope(size, t)[0] else 0.0
+          for t, f in zip(ts, fs)]
+    crosses = [False, *(fa * fb < 0.0 for fa, fb in zip(fs, fs[1:])), False]
+    roots = []
+    for i, (t, f) in enumerate(zip(ts, fs)):
+        if abs(f) <= tol and not (crosses[i] or crosses[i + 1]):
+            roots.append(t)
+        if crosses[i + 1]:
+            roots.append(_bracket_root(coef, t, f, ts[i + 1], fs[i + 1]))
+    return roots
 
 
 def _unit_roots(c: np.ndarray) -> tuple[list[int], list[float]]:
-    """Real roots in [0, 1] of each f_i(x) = sum_k c[i, k] x^k, as (i, x) lists.
-
-    The companion roots near [0, 1], then two Newton steps kept where they
-    shrink |f|; a root needs |f| <= ON_LINE_PX. The few candidates are
-    polished in Python floats, whose IEEE operations round exactly as the
-    elementwise array form would.
-    """
-    p = c.shape[1] - 1
-
-    def value_and_slope(coef, x):
-        f, df = coef[p], 0.0
-        for a in coef[p - 1::-1]:
-            f, df = f * x + a, df * x + f
-        return f, df
-
-    rows, xs = [], []
-    z = _companion_roots(c).real.ravel().tolist()
-    for k in (k for k, x in enumerate(z) if abs(x - 0.5) < 0.5 + 1e-6):
-        coef, x = c[k // p].tolist(), min(max(z[k], 0.0), 1.0)
-        f, df = value_and_slope(coef, x)
-        for _ in range(2):
-            x_new = min(max(x - (f / df if df != 0.0 else 0.0), 0.0), 1.0)
-            f_new, df_new = value_and_slope(coef, x_new)
-            if abs(f_new) < abs(f):
-                x, f, df = x_new, f_new, df_new
-        if abs(f) <= ON_LINE_PX:
-            rows.append(k // p)
-            xs.append(x)
-    return rows, xs
+    """Real roots in [0, 1] of each f_i(x) = sum_k c[i, k] x^k, as (i, x) lists: _real_roots
+    at tol ON_LINE_PX, so a line ending or touching within ON_LINE_PX of a span meets it once."""
+    # summed elementwise: a matrix product rounds by how many rows come with it
+    bern = np.sum(c[:, None] * bernstein_matrix(c.shape[1] - 1), axis=-1)
+    roots = [_real_roots(coef, b, ON_LINE_PX) for coef, b in zip(c.tolist(), bern.tolist())]
+    return [i for i, xs in enumerate(roots) for _ in xs], [x for xs in roots for x in xs]
 
 
 def intersect_epiline(curve_b: BSplineCurve, line) -> list[float]:
@@ -175,7 +191,8 @@ def intersect_epiline(curve_b: BSplineCurve, line) -> list[float]:
     span whose values all lie beyond ON_LINE_PX on one side misses the line
     (convex hull). The others' polynomials, from the curve's cached power form,
     are solved exactly. Roots within ON_LINE_PX count, so a line through an end
-    point finds it; a root within 1e-9 of the one before is dropped.
+    point finds it; a root within 1e-9 of the one before is dropped, since a
+    crossing at a knot is found on both spans.
     """
     line = np.asarray(line, dtype=float).reshape(3)
     lo, hi, bezier, coef = curve_b.power_spans
@@ -270,10 +287,11 @@ def triangulate_point(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
 def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray) -> np.ndarray:
     """Distance from each point q to its nearest point on the curve.
 
-    Exact per-span nearest point by companion roots (The NURBS Book 6.1): a
-    span end, or a root of g(x) = C'(x).(C(x) - q) on a span whose bounding
-    box, that of its cached Bezier points (BSplineCurve.power_spans), is within
-    the nearest span end.
+    Exact per-span nearest point (The NURBS Book 6.1): a span end, or a root
+    of g(x) = C'(x).(C(x) - q) on a span whose bounding box, that of its
+    cached Bezier points (BSplineCurve.power_spans), is within the nearest
+    span end. Of these (point, span) pairs, _real_roots solves those whose g
+    has Bernstein coefficients on both sides of 0, about one per point.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     p = curve.degree
@@ -291,11 +309,15 @@ def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray) -> np.ndar
         g = np.zeros((len(span), 2 * p))
         for i in range(p):  # C'(x) has the coefficient (i + 1) a_(i+1) at x^i
             g[:, i:i + p + 1] += (i + 1) * np.sum(r[:, i + 1, None] * r, axis=-1)
-        x = np.clip(_companion_roots(g).real, 0.0, 1.0)[..., None]
-        diff = r[:, p, None]
+        bern = np.sum(g[:, None] * bernstein_matrix(2 * p - 1), axis=-1)
+        cross = ((bern.min(axis=1) < 0.0) & (bern.max(axis=1) > 0.0)).nonzero()[0]
+        roots = [_real_roots(a, b, 0.0) for a, b in zip(g[cross].tolist(), bern[cross].tolist())]
+        rows = np.repeat(cross, [len(xs) for xs in roots])
+        r, x = r[rows], np.array([x for xs in roots for x in xs])[:, None]
+        diff = r[:, p]
         for k in range(p - 1, -1, -1):
-            diff = diff * x + r[:, k, None]
-        np.minimum.at(best, pt, np.sum(diff ** 2, axis=-1).min(axis=1))
+            diff = diff * x + r[:, k]
+        np.minimum.at(best, pt[rows], np.sum(diff ** 2, axis=-1))
     return np.sqrt(best)
 
 

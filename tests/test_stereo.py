@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 import stereowire as sw
 from stereowire import io as swio
 from stereowire import stereo
 from stereowire.bspline import BSplineCurve, eval_curve_many, fit_curve, sample_uniform
-from stereowire.cameras import ProjectiveCamera, fundamental_matrix, project_many
+from stereowire.cameras import ProjectiveCamera, epiline, fundamental_matrix, project_many
 from stereowire.cli import main
 from stereowire.errors import CoincidentCenters, NoMatches, NonMonotoneInput, PointAtInfinity
 from stereowire.rig import default_rig
 from stereowire.stereo import (
     MISSING,
     ON_LINE_PX,
-    _companion_roots,
     _unit_roots,
     intersect_epiline,
     match_curves,
@@ -100,6 +100,10 @@ def test_intersect_straight_polyline():
     roots = intersect_epiline(pc, np.array([1.0, 0.0, -5.0]))  # line x = 5
     assert len(roots) == 1
     assert abs(roots[0] - 0.5) < 1e-9
+    # the line y = 0 runs along every span: it meets the curve at the knots
+    assert not pc.control_points[:, 1].any()
+    lo, hi, _, _ = pc.power_spans
+    assert intersect_epiline(pc, np.array([0.0, 1.0, 0.0])) == [*lo, hi[-1]]
 
 
 def test_intersect_parallel_line_no_roots():
@@ -168,10 +172,22 @@ def sign_change_roots(spline, line, dense):
     return 0.5 * (lo + hi)
 
 
+def companion_roots(c):
+    """(n, p) complex roots of each f_i(x) = sum_k c[i, k] x^k, as companion-matrix
+    eigenvalues; a vanishing leading coefficient is raised to ~eps of the others,
+    sending its root far outside [0, 1]."""
+    n, p = c.shape[0], c.shape[1] - 1
+    size = np.abs(c)
+    floor = np.maximum(np.finfo(float).eps * size.max(axis=1), np.finfo(float).tiny)
+    companion = np.repeat(np.eye(p, k=-1)[None], n, axis=0)
+    companion[:, :, -1] = -c[:, :p] / np.where(size[:, p] > floor, c[:, p], floor)[:, None]
+    return np.linalg.eigvals(companion)
+
+
 def array_polished_unit_roots(c):
     """Companion roots polished by two guarded Newton steps on whole arrays."""
     n, p = c.shape[0], c.shape[1] - 1
-    z = _companion_roots(c).ravel()
+    z = companion_roots(c).ravel()
     near = np.abs(z.real - 0.5) < 0.5 + 1e-6
     row, x = np.repeat(np.arange(n), p)[near], np.clip(z.real[near], 0.0, 1.0)
     coef = c[row]
@@ -208,11 +224,18 @@ def test_intersect_matches_dense_sign_change_oracle():
             if len(want):
                 assert np.abs(np.array(got) - want).max() < 1e-9
             total += len(want)
-            # the scalar polish rounds as the array polish does, on every span
+            # the same roots as the polished companion eigenvalues, on every span
             c = pc.power_spans[3] @ line[:2]
             c[:, 0] += line[2]
-            for a, b in zip(_unit_roots(c), array_polished_unit_roots(c)):
-                assert np.array_equal(a, b)
+            rows, xs = _unit_roots(c)
+            want_rows, want_xs = array_polished_unit_roots(c)
+            for i in range(len(c)):
+                got_i = np.array(xs)[np.array(rows, dtype=np.intp) == i]
+                want_i = np.sort(want_xs[want_rows == i])
+                # a conjugate pair polishes onto its real root, to within an ulp
+                want_i = want_i[np.diff(want_i, prepend=-np.inf) > 1e-9]
+                assert len(got_i) == len(want_i)
+                assert np.abs(got_i - want_i).max(initial=0.0) <= 1e-15
     assert total > 50  # the lines really cross the curves
 
 
@@ -272,6 +295,109 @@ def test_bezier_cull_solves_one_span_per_epiline(tmp_path, monkeypatch):
     reconstruct_curve(cam_a, cam_b, curve_a, curve_b)
     assert len(solved) == 64
     assert sum(solved) / len(solved) <= 1.0
+
+
+
+# ------------------------------------------------------------- the root finder
+
+OUTSIDE = (-0.5, 1.5, 2.0, -1.0)  # the other roots of a case, away from [0, 1]
+
+
+def unit_roots_of(coef):
+    """_unit_roots of one polynomial, given by its power coefficients."""
+    rows, xs = _unit_roots(np.array(coef, dtype=float)[None])
+    assert rows == [0] * len(xs)
+    return xs
+
+
+def from_roots(roots, scale=50.0):
+    return scale * P.polyfromroots(roots)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_root_rules_on_chosen_roots(p):
+    others = OUTSIDE[:p - 1]
+    assert unit_roots_of(from_roots([0.3, *others])) == pytest.approx([0.3], abs=1e-15)
+    assert unit_roots_of(from_roots([0.0, *others])) == [0.0]
+    assert unit_roots_of(from_roots([1.0, *others])) == pytest.approx([1.0], abs=1e-15)
+    # a zero just beyond an end, which the line passes within ON_LINE_PX: the end
+    for end, zero in ((0.0, -1e-7), (1.0, 1.0 + 1e-7)):
+        c = from_roots([zero, *others])
+        assert abs(P.polyval(end, c)) <= ON_LINE_PX
+        assert unit_roots_of(c) == [end]
+    # a crossing just inside an end: the crossing alone, not also the end
+    for zero in (2e-9, 1.0 - 2e-9):
+        got = unit_roots_of(from_roots([zero, *others]))
+        assert len(got) == 1 and abs(got[0] - zero) < 1e-15
+    if p >= 2:
+        others = others[:p - 2]
+        # a touch within ON_LINE_PX is one root; a miss beyond it none
+        for gap, n_roots in ((5e-8, 1), (1e-6, 0)):
+            c = 50.0 * P.polymul(P.polyadd(P.polyfromroots([0.4, 0.4]), [gap]), P.polyfromroots(others))
+            got = unit_roots_of(c)
+            assert len(got) == n_roots
+            assert all(abs(x - 0.4) < 1e-3 and abs(P.polyval(x, c)) <= ON_LINE_PX for x in got)
+        # a double root is one root, wherever it lies
+        for zero in (0.05, 0.123, 0.5, 0.7, 0.939676458194499):
+            for scale in (-3.0, 50.0, 700.0):
+                got = unit_roots_of(from_roots([zero, zero, *others], scale))
+                assert got == pytest.approx([zero], abs=1e-7)
+    # f = 0, a line along a straight span: the span's ends, never a flood of roots
+    assert unit_roots_of(np.zeros(p + 1)) == [0.0, 1.0]
+
+
+def synth_frame(out, seed, noise):
+    """Cameras and annotation splines of a synth frame written to out."""
+    assert main(["synth", "--out", str(out), "--seed", str(seed), "--noise-px", str(noise)]) == 0
+    cams = [swio.load_camera(out / f"camera_{v}.json") for v in "ab"]
+    return (*cams, *(fit_curve(swio.load_annotation(out / f"annotation_{v}.json")[2]) for v in "ab"))
+
+
+def test_a_crossing_just_inside_the_end_is_not_also_the_end(tmp_path):
+    # the epiline of view A's end sample crosses view B's spline 2e-9 before
+    # its end, within ON_LINE_PX of the end point
+    cam_a, cam_b, curve_a, curve_b = synth_frame(tmp_path, 23, 0.0)
+    end = eval_curve_many(curve_a, [curve_a.domain[1]])[0]
+    roots = intersect_epiline(curve_b, epiline(fundamental_matrix(cam_a, cam_b), end))
+    assert roots == [0.9999999980957273]
+
+
+def test_each_root_of_a_span_is_listed_once(tmp_path, monkeypatch):
+    # the companion solver returned a conjugate pair's real part as well as
+    # the real root it polished onto: 3180 repeats over these 7680 epilines
+    repeats, calls = 0, 0
+
+    def spy(c):
+        nonlocal repeats, calls
+        rows, xs = _unit_roots(c)
+        for i in set(rows):
+            x = np.sort([x for row, x in zip(rows, xs) if row == i])
+            repeats += np.count_nonzero(np.diff(x) <= 1e-9)
+        calls += 1
+        return rows, xs
+
+    monkeypatch.setattr(stereo, "_unit_roots", spy)
+    for seed in range(40):
+        for noise in (0.0, 1.0, 3.0):
+            cam_a, cam_b, curve_a, curve_b = synth_frame(tmp_path / f"{seed}-{noise}", seed, noise)
+            match_curves(curve_a, curve_b, fundamental_matrix(cam_a, cam_b))
+    assert calls == 120 * 64
+    assert repeats == 0
+
+
+def test_reconstruction_calls_no_eigenvalue_solver(tmp_path, monkeypatch):
+    frame = synth_frame(tmp_path, 3, 1.0)
+    want = reconstruct_curve(*frame)
+
+    def refuse(*_):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    got = reconstruct_curve(*frame)
+    assert got.curve.control_points.tobytes() == want.curve.control_points.tobytes()
+    assert got.curve.knots.knots.tobytes() == want.curve.knots.knots.tobytes()
+    assert got.per_point_reproj_px.tobytes() == want.per_point_reproj_px.tobytes()
+    assert (got.mean_reproj_px, got.accepted) == (want.mean_reproj_px, want.accepted)
 
 
 # ------------------------------------------------------------- match_curves
