@@ -107,19 +107,13 @@ def _find_spans(knots: np.ndarray, p: int, ts: np.ndarray) -> np.ndarray:
 
 def _basis_funs(knots: np.ndarray, p: int, ts: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """The p+1 nonzero basis values: row k holds B_(s-p+k, p)(t) for each t and its span s."""
-    N = np.empty((p + 1, ts.size))
-    N[0] = 1.0
-    left = np.empty((p + 1, ts.size))
-    right = np.empty((p + 1, ts.size))
-    for j in range(1, p + 1):
-        left[j] = ts - knots[spans + 1 - j]
-        right[j] = knots[spans + j] - ts
-        saved = 0.0
-        for r in range(j):
-            tmp = N[r] / (right[r + 1] + left[j - r])
-            N[r] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        N[j] = saved
+    window = knots[spans + np.arange(1 - p, p + 1)[:, None]]  # t_(s+1-p) .. t_(s+p)
+    left, right = ts - window[p - 1::-1], window[p:] - ts  # row j-1: t - t_(s+1-j), t_(s+j) - t
+    N = np.ones((1, ts.size))
+    for j in range(1, p + 1):  # every r of level j at once, in the triangle's order
+        tmp = N / (right[:j] + left[j - 1::-1])
+        N = np.concatenate([np.zeros((1, ts.size)), left[j - 1::-1] * tmp])
+        N[:j] += right[:j] * tmp
     return N
 
 
@@ -169,13 +163,15 @@ class BSplineCurve:
         return BSplineCurve(ctrl, KnotVector(knots[1:-1], p - 1))
 
     @cached_property
-    def power_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(lo, hi, bezier, coef) of each nonempty knot span s, computed once per curve.
+    def power_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, bezier, coef, box) of the nonempty knot spans s: the one span table of
+        every frame kernel, computed once per curve.
 
         On s, C(t) = sum_k coef[s, k] x^k with x = (t - lo[s]) / (hi[s] - lo[s]),
-        Taylor terms C^(k)(lo) (hi - lo)^k / k! from the hodographs. bezier[s] holds
+        Taylor terms C^(k)(lo) (hi - lo)^k / k! from the hodographs. bezier[:, s] holds
         the span's p+1 Bezier points bernstein_matrix(p) @ coef[s], from its start
-        to its end; their convex hull holds it (The NURBS Book 5.1).
+        to its end, control index first; their convex hull holds it (The NURBS Book
+        5.1), and so does its bounding box from box[0, :, s] to box[1, :, s].
         """
         p, knots = self.degree, self.knots.knots
         s = p + np.flatnonzero(np.diff(knots)[p:self.knots.m - p] > 0)
@@ -185,7 +181,9 @@ class BSplineCurve:
             coef.append(eval_curve_many(curve, lo) * ((hi - lo) ** k / math.factorial(k))[:, None])
             curve = curve.derivative
         coef = np.stack(coef, axis=1)
-        return lo, hi, bernstein_matrix(p) @ coef, coef
+        bezier = np.ascontiguousarray((bernstein_matrix(p) @ coef).transpose(1, 0, 2))
+        box = np.stack([bezier.min(axis=0).T, bezier.max(axis=0).T])
+        return lo, hi, bezier, coef, box
 
 
 @cache
@@ -212,10 +210,11 @@ def eval_curve_many(curve: BSplineCurve, ts: np.ndarray) -> np.ndarray:
     ts = np.clip(ts, lo, hi)
     p, cp, knots = curve.degree, curve.control_points, curve.knots.knots
     spans = _find_spans(knots, p, ts)
-    N = _basis_funs(knots, p, ts, spans)
-    out = N[0][:, None] * cp[spans - p]
+    N = _basis_funs(knots, p, ts, spans)[:, :, None]
+    ctrl = cp[spans + np.arange(-p, 1)[:, None]]
+    out = N[0] * ctrl[0]
     for k in range(1, p + 1):
-        out += N[k][:, None] * cp[spans - p + k]
+        out += N[k] * ctrl[k]
     return out
 
 

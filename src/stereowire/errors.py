@@ -80,7 +80,8 @@ class UnreachableConstraint(StereowireError):
 
 
 class CurvatureOverflow(StereowireError, ValueError):
-    """Rest curvature whose squared joint bends overflow a float."""
+    """Rest curvature whose squared joint bends overflow a float, or whose
+    joint bend reaches pi, beyond the log map's range."""
 
 
 class RodOutOfRange(StereowireError, ValueError):

@@ -6,10 +6,13 @@ monotone parameter correspondence (filled through missing samples by a
 monotone cubic Hermite interpolant), triangulates the matched pairs, fits
 a 3D cubic through them, and gates the result on the mean reprojection
 error (25 px over both views pooled). The reprojection residual is a
-point-to-curve distance: the exact per-span nearest point. Both the
-intersection and the residual find their roots with one real-root finder
-in Python floats: Descartes' rule of signs on Bernstein coefficients, then
-guarded Newton on each bracketed root.
+point-to-curve distance: the exact per-span nearest point, searched only on
+the spans whose bounding box lies within the distance to the sample's own
+curve point C(u). The intersection and the residual read one span table per
+curve (BSplineCurve.power_spans: power form, Bezier points and boxes) and
+find their roots with one real-root finder in Python floats: Descartes'
+rule of signs on Bernstein coefficients, then guarded Newton on each
+bracketed root.
 """
 
 from __future__ import annotations
@@ -175,34 +178,30 @@ def _real_roots(coef: list[float], bern: list[float], tol: float) -> list[float]
     return roots
 
 
-def _unit_roots(c: np.ndarray) -> tuple[list[int], list[float]]:
-    """Real roots in [0, 1] of each f_i(x) = sum_k c[i, k] x^k, as (i, x) lists: _real_roots
-    at tol ON_LINE_PX, so a line ending or touching within ON_LINE_PX of a span meets it once."""
-    # summed elementwise: a matrix product rounds by how many rows come with it
-    bern = np.sum(c[:, None] * bernstein_matrix(c.shape[1] - 1), axis=-1)
-    roots = [_real_roots(coef, b, ON_LINE_PX) for coef, b in zip(c.tolist(), bern.tolist())]
-    return [i for i, xs in enumerate(roots) for _ in xs], [x for xs in roots for x in xs]
-
-
 def intersect_epiline(curve_b: BSplineCurve, line) -> list[float]:
     """Parameters u_B where the epiline crosses the annotation spline, increasing.
 
-    On a knot span the line distance l.C(t) has Bezier values l.b_j + l_2; a
-    span whose values all lie beyond ON_LINE_PX on one side misses the line
-    (convex hull). The others' polynomials, from the curve's cached power form,
-    are solved exactly. Roots within ON_LINE_PX count, so a line through an end
-    point finds it; a root within 1e-9 of the one before is dropped, since a
-    crossing at a knot is found on both spans.
+    On a knot span of the curve's span table (BSplineCurve.power_spans) the
+    line distance l.C(t) + l_2 has the Bezier values l.b_j + l_2; a span whose
+    values all lie beyond ON_LINE_PX on one side misses the line (convex hull).
+    _real_roots solves each other span's polynomial at tol ON_LINE_PX, so a
+    line ending or touching within ON_LINE_PX of a span meets it once and a
+    line through an end point finds it. A root within 1e-9 of the one before
+    is dropped, since a crossing at a knot is found on both spans.
     """
     line = np.asarray(line, dtype=float).reshape(3)
-    lo, hi, bezier, coef = curve_b.power_spans
-    values = bezier @ line[:2] + line[2]
-    meets = ((values.min(axis=1) <= ON_LINE_PX) & (values.max(axis=1) >= -ON_LINE_PX)).nonzero()[0]
+    lo, hi, bezier, coef, _ = curve_b.power_spans
+    hull = bezier @ line[:2] + line[2]
+    meets = ((hull.min(axis=0) <= ON_LINE_PX) & (hull.max(axis=0) >= -ON_LINE_PX)).nonzero()[0]
     c = coef[meets] @ line[:2]
     c[:, 0] += line[2]
+    # the solver's Bernstein coefficients come from the power form, summed
+    # elementwise: the hull's own values round differently, which moves roots
+    bern = np.sum(c[:, None] * bernstein_matrix(c.shape[1] - 1), axis=-1)
     # exact at both span ends, so an end-point root is the end parameter
-    roots = sorted((1.0 - x) * lo.item(meets[i]) + x * hi.item(meets[i])
-                   for i, x in zip(*_unit_roots(c)))
+    roots = sorted((1.0 - x) * lo.item(s) + x * hi.item(s)
+                   for s, a, b in zip(meets.tolist(), c.tolist(), bern.tolist())
+                   for x in _real_roots(a, b, ON_LINE_PX))
     return [r for r, prev in zip(roots, [-math.inf, *roots]) if r - prev > 1e-9]
 
 
@@ -284,25 +283,26 @@ def triangulate_point(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
 # ---------------------------------------------------------------------------
 # point-to-curve distance (reprojection residual)
 
-def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray) -> np.ndarray:
-    """Distance from each point q to its nearest point on the curve.
+def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray, params) -> np.ndarray:
+    """Distance from each point q to its nearest point on the curve, given a curve
+    parameter u per point (or one for all) whose C(u) bounds the search.
 
-    Exact per-span nearest point (The NURBS Book 6.1): a span end, or a root
-    of g(x) = C'(x).(C(x) - q) on a span whose bounding box, that of its
-    cached Bezier points (BSplineCurve.power_spans), is within the nearest
-    span end. Of these (point, span) pairs, _real_roots solves those whose g
-    has Bernstein coefficients on both sides of 0, about one per point.
+    Exact per-span nearest point (The NURBS Book 6.1): C(u), a span end, or a
+    root of g(x) = C'(x).(C(x) - q), on the spans whose cached bounding box
+    (BSplineCurve.power_spans) lies within |q - C(u)| of q. Of these (point,
+    span) pairs, _real_roots solves those whose g has Bernstein coefficients on
+    both sides of 0, about one per point.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     p = curve.degree
-    _, _, bezier, coef = curve.power_spans
-    # coordinates first, so each sum over them adds whole slabs
-    bezier = np.moveaxis(bezier, -1, 0)
-    q = points.T[:, :, None]
-    ends = np.concatenate([bezier[:, :, 0], bezier[:, -1:, p]], axis=1)
-    best = np.sum((q - ends[:, None]) ** 2, axis=0).min(axis=1)
-    boxed = np.clip(q, bezier.min(axis=2)[:, None], bezier.max(axis=2)[:, None])
-    pt, span = np.nonzero(np.sum((q - boxed) ** 2, axis=0) <= best[:, None])
+    _, _, bezier, coef, (low, high) = curve.power_spans
+    best = np.sum((points - eval_curve_many(curve, params)) ** 2, axis=1)
+    # coordinates first and contiguous, so each sum over them adds whole slabs
+    q = np.ascontiguousarray(points.T)[:, :, None]
+    gap = np.maximum(np.maximum(low[:, None] - q, q - high[:, None]), 0.0)
+    pt, span = np.nonzero(np.sum(gap ** 2, axis=0) <= best[:, None])
+    ends = bezier[[0, p]][:, span] - points[pt]
+    np.minimum.at(best, pt, np.sum(ends ** 2, axis=-1).min(axis=0))
     if p > 0:
         r = coef[span]
         r[:, 0] -= points[pt]
@@ -353,8 +353,8 @@ def reconstruct_curve(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
     world = np.array([triangulate_point(cam_a, cam_b, xa, xb) for xa, xb in zip(pts_a, pts_b)])
     curve3d = fit_curve(world)
 
-    err_a = point_to_curve_distances(curve_a, project_many(cam_a, world))
-    err_b = point_to_curve_distances(curve_b, project_many(cam_b, world))
+    err_a = point_to_curve_distances(curve_a, project_many(cam_a, world), u_as)
+    err_b = point_to_curve_distances(curve_b, project_many(cam_b, world), u_bs)
     per_point = np.column_stack([err_a, err_b])
     mean_reproj = float(per_point.mean())
     return ReconstructionReport(

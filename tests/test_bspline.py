@@ -182,6 +182,38 @@ def test_kernel_matches_recursive_basis(rng, p):
             assert np.abs(full - basis_table_oracle(kv, p, t)).max() < 1e-12
 
 
+def triangle_recursion(knots, p, ts, spans):
+    """The NURBS Book A2.2 with its inner loop over r, row by row: the reference the
+    batched levels must reproduce operation for operation."""
+    N = np.empty((p + 1, ts.size))
+    N[0] = 1.0
+    left, right = np.empty((p + 1, ts.size)), np.empty((p + 1, ts.size))
+    for j in range(1, p + 1):
+        left[j] = ts - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - ts
+        saved = 0.0
+        for r in range(j):
+            tmp = N[r] / (right[r + 1] + left[j - r])
+            N[r] = saved + right[r + 1] * tmp
+            saved = left[j - r] * tmp
+        N[j] = saved
+    return N
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 5])
+def test_kernel_is_the_triangle_recursion_bit_for_bit(rng, p):
+    for _ in range(20):
+        kv = random_repeated_kv(rng, p)
+        curve = BSplineCurve(rng.normal(size=(kv.n_basis, 2)) * 100, kv)
+        ts = kernel_params(rng, kv)
+        spans = _find_spans(kv.knots, p, ts)
+        rows = triangle_recursion(kv.knots, p, ts, spans)
+        assert np.array_equal(_basis_funs(kv.knots, p, ts, spans), rows)
+        want = sum((rows[k][:, None] * curve.control_points[spans - p + k] for k in range(1, p + 1)),
+                   rows[0][:, None] * curve.control_points[spans - p])
+        assert np.array_equal(eval_curve_many(curve, ts), want)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_eval_many_matches_de_boor_oracle(rng, p):
     for _ in range(10):
@@ -228,7 +260,8 @@ def test_power_spans_reproduce_the_curve(rng):
     for p in (1, 2, 3, 5):
         kv = random_repeated_kv(rng, p)
         curve = BSplineCurve(rng.normal(size=(kv.n_basis, 2)), kv)
-        lo, hi, bezier, coef = curve.power_spans
+        lo, hi, bezier, coef, box = curve.power_spans
+        assert bezier.shape == (p + 1, len(lo), 2) and box.shape == (2, 2, len(lo))
         bernstein = [math.comb(p, j) for j in range(p + 1)]
         for s in range(len(lo)):
             x = rng.uniform(0.0, 1.0, 5)
@@ -236,8 +269,11 @@ def test_power_spans_reproduce_the_curve(rng):
             power = np.polynomial.polynomial.polyval(x, coef[s]).T
             assert np.abs(power - eval_curve_many(curve, t)).max() < 1e-10
             weights = np.array([b * x ** j * (1.0 - x) ** (p - j) for j, b in enumerate(bernstein)])
-            assert np.abs(weights.T @ bezier[s] - power).max() < 1e-10
-        assert np.array_equal(bezier[:, 0], coef[:, 0])  # the span starts
+            assert np.abs(weights.T @ bezier[:, s] - power).max() < 1e-10
+            # the span lies in its box, the bounds of its Bezier points
+            assert np.all(box[0, :, s] <= power + 1e-10) and np.all(power <= box[1, :, s] + 1e-10)
+            assert np.array_equal(box[:, :, s], [bezier[:, s].min(axis=0), bezier[:, s].max(axis=0)])
+        assert np.array_equal(bezier[0], coef[:, 0])  # the span starts
 
 
 # ------------------------------------------------------------- eval_curve

@@ -576,14 +576,20 @@ def test_large_wires_are_fitted(argv, capsys, tmp_path, monkeypatch):
     (["synth", "--out", "w", "--n-segments", "2"], "--n-segments must be >= 3"),
     (["relax", "--out", "c.json", "--n-segments", "2"], "--n-segments must be >= 3"),
     (["relax", "--out", "c.json", "--tip-angle=1e154", "--n-segments", "5",
-      "--tip-target", "0,0,4"], "out of float range"),
+      "--tip-target", "0,0,4"], "is not below pi"),
+    # a joint bend at or above pi wraps in the log-map curvature: refused, not relaxed
+    (["relax", "--out", "c.json", "--tip-angle", "30", "--n-segments", "5"],
+     "a joint bend of 6 rad is not below pi"),
+    (["synth", "--out", "w", "--tip-angle", "30", "--n-segments", "5"],
+     "a joint bend of 6 rad is not below pi"),
     (["synth", "--out", "w", "--segment-length", "1e308"], "longer than a float"),
     (["relax", "--out", "c.json", "--segment-length", "1e306", "--tip-target", "1e306,0,1e307"],
      "out of float range"),  # 1.005e307 mm away, within reach, but J J^T overflows
-    (["relax", "--out", "c.json", "--stiffness", "1.7e308", "--tip-angle", "30",
-      "--n-segments", "5", "--tip-target", "1,0,7"], "out of float range"),  # energy = E * 19.25
-], ids=["synth-2-segments", "relax-2-segments", "huge-rest-bend", "synth-huge-segment-length",
-        "huge-pinned-rod", "huge-stiffness-energy"])
+    (["relax", "--out", "c.json", "--stiffness", "1.7e308", "--tip-angle", "15",
+      "--n-segments", "5", "--tip-target", "0,0,-4"], "out of float range"),  # energy = E * 12.8
+], ids=["synth-2-segments", "relax-2-segments", "huge-rest-bend", "relax-rest-bend-over-pi",
+        "synth-rest-bend-over-pi", "synth-huge-segment-length", "huge-pinned-rod",
+        "huge-stiffness-energy"])
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_rod_flag_errors_name_the_cause(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

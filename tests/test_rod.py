@@ -321,10 +321,18 @@ def test_rest_field_refuses_overflowing_bends(tip_angle):
         rest_curvature_field(50, tip_angle, seed=0)
 
 
+def test_rest_field_refuses_a_joint_bend_of_pi():
+    # the largest joint bend is tip_angle / n_segments, exact for 4 segments
+    with pytest.raises(CurvatureOverflow, match="not below pi"):
+        rest_curvature_field(4, 4.0 * np.pi, seed=0)
+    below = rest_curvature_field(4, 4.0 * np.nextafter(np.pi, 0.0), seed=0)
+    assert np.linalg.norm(below, axis=1).max() < np.pi
+
+
 @pytest.mark.filterwarnings("error")
 def test_rod_out_of_float_range_is_refused_before_any_warning():
     with pytest.raises(RodOutOfRange):
         straight_rod(50, 1e308)  # each segment is finite, the rod is not
-    steep = straight_rod(5, 2.0, 1.0, rest_curvature_field(5, 1e154, 0))
+    steep = straight_rod(5, 2.0, 1.0, rest_curvature_field(5, 1.0, 0) * 1e154)
     with pytest.raises(RodOutOfRange):
         relax(steep, tip_target=[0.0, 0.0, 4.0])  # energy / rho overflows

@@ -5,7 +5,7 @@ from numpy.polynomial import polynomial as P
 import stereowire as sw
 from stereowire import io as swio
 from stereowire import stereo
-from stereowire.bspline import BSplineCurve, eval_curve_many, fit_curve, sample_uniform
+from stereowire.bspline import BSplineCurve, bernstein_matrix, eval_curve_many, fit_curve, sample_uniform
 from stereowire.cameras import ProjectiveCamera, epiline, fundamental_matrix, project_many
 from stereowire.cli import main
 from stereowire.errors import CoincidentCenters, NoMatches, NonMonotoneInput, PointAtInfinity
@@ -13,7 +13,7 @@ from stereowire.rig import default_rig
 from stereowire.stereo import (
     MISSING,
     ON_LINE_PX,
-    _unit_roots,
+    _real_roots,
     intersect_epiline,
     match_curves,
     pchip_fit,
@@ -102,7 +102,7 @@ def test_intersect_straight_polyline():
     assert abs(roots[0] - 0.5) < 1e-9
     # the line y = 0 runs along every span: it meets the curve at the knots
     assert not pc.control_points[:, 1].any()
-    lo, hi, _, _ = pc.power_spans
+    lo, hi, *_ = pc.power_spans
     assert intersect_epiline(pc, np.array([0.0, 1.0, 0.0])) == [*lo, hi[-1]]
 
 
@@ -184,6 +184,14 @@ def companion_roots(c):
     return np.linalg.eigvals(companion)
 
 
+def unit_roots(c):
+    """_real_roots at tol ON_LINE_PX of each f_i(x) = sum_k c[i, k] x^k, as (i, x) lists,
+    on the Bernstein coefficients intersect_epiline gives it (summed elementwise)."""
+    bern = np.sum(c[:, None] * bernstein_matrix(c.shape[1] - 1), axis=-1)
+    roots = [_real_roots(a, b, ON_LINE_PX) for a, b in zip(c.tolist(), bern.tolist())]
+    return [i for i, xs in enumerate(roots) for _ in xs], [x for xs in roots for x in xs]
+
+
 def array_polished_unit_roots(c):
     """Companion roots polished by two guarded Newton steps on whole arrays."""
     n, p = c.shape[0], c.shape[1] - 1
@@ -227,7 +235,7 @@ def test_intersect_matches_dense_sign_change_oracle():
             # the same roots as the polished companion eigenvalues, on every span
             c = pc.power_spans[3] @ line[:2]
             c[:, 0] += line[2]
-            rows, xs = _unit_roots(c)
+            rows, xs = unit_roots(c)
             want_rows, want_xs = array_polished_unit_roots(c)
             for i in range(len(c)):
                 got_i = np.array(xs)[np.array(rows, dtype=np.intp) == i]
@@ -245,13 +253,13 @@ def control_window_roots(curve, line):
     on one side."""
     p, knots = curve.degree, curve.knots.knots
     first = np.flatnonzero(np.diff(knots)[p:curve.knots.m - p] > 0)
-    lo, hi, _, coef = curve.power_spans
+    lo, hi, _, coef, _ = curve.power_spans
     values = curve.control_points @ line[:2] + line[2]
     window = values[first[:, None] + np.arange(p + 1)]
     meets = (window.min(axis=1) <= ON_LINE_PX) & (window.max(axis=1) >= -ON_LINE_PX)
     c = coef[meets] @ line[:2]
     c[:, 0] += line[2]
-    rows, xs = _unit_roots(c)
+    rows, xs = unit_roots(c)
     span, x = np.array(rows, dtype=np.intp), np.array(xs)
     roots = np.sort((1.0 - x) * lo[meets][span] + x * hi[meets][span]).tolist()
     return [r for r, prev in zip(roots, [-np.inf, *roots]) if r - prev > 1e-9]
@@ -285,16 +293,32 @@ def test_bezier_cull_solves_one_span_per_epiline(tmp_path, monkeypatch):
     cam_a, cam_b = (swio.load_camera(out / f"camera_{v}.json") for v in "ab")
     curve_a, curve_b = (fit_curve(swio.load_annotation(out / f"annotation_{v}.json")[2])
                         for v in "ab")
-    solved = []
-
-    def spy(c):
-        solved.append(len(c))
-        return _unit_roots(c)
-
-    monkeypatch.setattr(stereo, "_unit_roots", spy)
+    epilines, solved = spy_on_epiline_solves(monkeypatch)
     reconstruct_curve(cam_a, cam_b, curve_a, curve_b)
-    assert len(solved) == 64
-    assert sum(solved) / len(solved) <= 1.0
+    assert len(epilines) == 64 and solved
+    assert len(solved) / len(epilines) <= 1.0
+
+
+def spy_on_epiline_solves(monkeypatch):
+    """Lists that fill with each intersect_epiline line and with the roots of each
+    span it solves: the _real_roots calls at tol ON_LINE_PX (the residual's, and
+    the recursion's on f', run at tol 0)."""
+    epilines, solved = [], []
+    intersect, real_roots = stereo.intersect_epiline, stereo._real_roots
+
+    def spy_intersect(curve, line):
+        epilines.append(line)
+        return intersect(curve, line)
+
+    def spy_roots(coef, bern, tol):
+        roots = real_roots(coef, bern, tol)
+        if tol == ON_LINE_PX:
+            solved.append(roots)
+        return roots
+
+    monkeypatch.setattr(stereo, "intersect_epiline", spy_intersect)
+    monkeypatch.setattr(stereo, "_real_roots", spy_roots)
+    return epilines, solved
 
 
 
@@ -304,8 +328,8 @@ OUTSIDE = (-0.5, 1.5, 2.0, -1.0)  # the other roots of a case, away from [0, 1]
 
 
 def unit_roots_of(coef):
-    """_unit_roots of one polynomial, given by its power coefficients."""
-    rows, xs = _unit_roots(np.array(coef, dtype=float)[None])
+    """unit_roots of one polynomial, given by its power coefficients."""
+    rows, xs = unit_roots(np.array(coef, dtype=float)[None])
     assert rows == [0] * len(xs)
     return xs
 
@@ -365,24 +389,13 @@ def test_a_crossing_just_inside_the_end_is_not_also_the_end(tmp_path):
 def test_each_root_of_a_span_is_listed_once(tmp_path, monkeypatch):
     # the companion solver returned a conjugate pair's real part as well as
     # the real root it polished onto: 3180 repeats over these 7680 epilines
-    repeats, calls = 0, 0
-
-    def spy(c):
-        nonlocal repeats, calls
-        rows, xs = _unit_roots(c)
-        for i in set(rows):
-            x = np.sort([x for row, x in zip(rows, xs) if row == i])
-            repeats += np.count_nonzero(np.diff(x) <= 1e-9)
-        calls += 1
-        return rows, xs
-
-    monkeypatch.setattr(stereo, "_unit_roots", spy)
+    epilines, solved = spy_on_epiline_solves(monkeypatch)
     for seed in range(40):
         for noise in (0.0, 1.0, 3.0):
             cam_a, cam_b, curve_a, curve_b = synth_frame(tmp_path / f"{seed}-{noise}", seed, noise)
             match_curves(curve_a, curve_b, fundamental_matrix(cam_a, cam_b))
-    assert calls == 120 * 64
-    assert repeats == 0
+    assert len(epilines) == 120 * 64 and solved
+    assert sum(np.count_nonzero(np.diff(np.sort(xs)) <= 1e-9) for xs in solved) == 0
 
 
 def test_reconstruction_calls_no_eigenvalue_solver(tmp_path, monkeypatch):
@@ -621,12 +634,17 @@ def test_point_to_curve_distance_is_zero_on_curve(rng):
     pts = np.cumsum(rng.normal(size=(25, 2)), axis=0) * 10
     pc = fit_curve(pts)
     _, on_curve = sample_uniform(pc, 17)
-    d = point_to_curve_distances(pc, on_curve)
+    d = point_to_curve_distances(pc, on_curve, pc.domain[0])
     assert d.max() < 1e-9
 
 
 def dense_distance_oracle(spline, queries, n=200_000):
     """Nearest of n uniform samples, refined by golden section between its neighbours."""
+    return dense_nearest_oracle(spline, queries, n)[1]
+
+
+def dense_nearest_oracle(spline, queries, n=200_000):
+    """(parameters, distances) of dense_distance_oracle's nearest points."""
     ts, pts = sample_uniform(spline, n)
     k = np.array([np.argmin(np.sum((pts - q) ** 2, axis=1)) for q in queries])
     a, b = ts[np.maximum(k - 1, 0)], ts[np.minimum(k + 1, n - 1)]
@@ -639,7 +657,9 @@ def dense_distance_oracle(spline, queries, n=200_000):
         c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
         left = dist(c) < dist(d)
         a, b = np.where(left, a, c), np.where(left, d, b)
-    return np.minimum(dist(0.5 * (a + b)), dist(ts[k]))
+    mid = 0.5 * (a + b)
+    d_mid, d_k = dist(mid), dist(ts[k])
+    return np.where(d_mid < d_k, mid, ts[k]), np.minimum(d_mid, d_k)
 
 
 def test_point_to_curve_distance_matches_dense_oracle():
@@ -656,7 +676,7 @@ def test_point_to_curve_distance_matches_dense_oracle():
         beyond_ends = np.array([ends[0] - 0.5 * tangents[0], ends[1] + 0.25 * tangents[1]])
         far = near[:3] + rng.normal(0.0, 2000.0, (3, 2))
         queries = np.vstack([near, beyond_ends, far])
-        got = point_to_curve_distances(spline, queries)
+        got = point_to_curve_distances(spline, queries, lo)
         want = dense_distance_oracle(spline, queries)
         assert np.abs(got - want).max() < 1e-6
         # past an end along its tangent the end point is the nearest point
@@ -665,8 +685,27 @@ def test_point_to_curve_distance_matches_dense_oracle():
         kv = random_repeated_kv(rng, p)
         spline = BSplineCurve(rng.normal(size=(kv.n_basis, 2)) * 50, kv)
         queries = rng.normal(size=(12, 2)) * 60
-        got = point_to_curve_distances(spline, queries)
+        got = point_to_curve_distances(spline, queries, spline.domain[0])
         assert np.abs(got - dense_distance_oracle(spline, queries)).max() < 1e-6, p
+
+
+def test_any_curve_parameter_bounds_the_residual_search():
+    # C(u) only narrows the spans searched: the domain start, random parameters
+    # and the nearest parameters themselves all give the oracle's distance
+    rng = np.random.default_rng(12)
+    splines = [fit_curve(np.cumsum(rng.normal(size=(20, 2)), axis=0) * 20)]
+    for p in (1, 2, 3, 5):
+        kv = random_repeated_kv(rng, p)
+        splines.append(BSplineCurve(rng.normal(size=(kv.n_basis, 2)) * 50, kv))
+    for spline in splines:
+        lo, hi = spline.domain
+        queries = rng.normal(size=(12, 2)) * 60 + spline.control_points.mean(axis=0)
+        nearest, want = dense_nearest_oracle(spline, queries)
+        for params in (np.full(12, lo), rng.uniform(lo, hi, 12), nearest):
+            got = point_to_curve_distances(spline, queries, params)
+            assert np.abs(got - want).max() < 1e-6
+            # the bound is itself a candidate
+            assert np.all(got <= np.linalg.norm(queries - eval_curve_many(spline, params), axis=1))
 
 
 def test_residual_of_a_self_approaching_fit_is_the_nearest_point(tmp_path):
@@ -685,6 +724,7 @@ def test_residual_of_a_self_approaching_fit_is_the_nearest_point(tmp_path):
                       zip(eval_curve_many(curve_a, u_as), eval_curve_many(curve_b, u_bs))])
     for view, (cam, curve) in enumerate(((cam_a, curve_a), (cam_b, curve_b))):
         got = report.per_point_reproj_px[:, view]
-        assert np.array_equal(got, point_to_curve_distances(curve, project_many(cam, world)))
+        u = (u_as, u_bs)[view]
+        assert np.array_equal(got, point_to_curve_distances(curve, project_many(cam, world), u))
         want = dense_distance_oracle(curve, project_many(cam, world))
         assert np.abs(got - want).max() < 1e-6, view
