@@ -152,34 +152,29 @@ class BSplineCurve:
         return self.knots.domain
 
     @cached_property
-    def derivative(self) -> BSplineCurve:
-        """The hodograph C'(t): degree p-1 on the inner knots (the zero curve for p = 0)."""
-        p, cp, knots = self.degree, self.control_points, self.knots.knots
-        if p == 0:
-            return BSplineCurve(np.zeros_like(cp), self.knots)
-        width = (knots[p + 1:-1] - knots[1:cp.shape[0]])[:, None]
-        diff = p * np.diff(cp, axis=0)
-        ctrl = np.divide(diff, width, out=np.zeros_like(diff), where=width > 0)
-        return BSplineCurve(ctrl, KnotVector(knots[1:-1], p - 1))
-
-    @cached_property
     def power_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(lo, hi, bezier, coef, box) of the nonempty knot spans s: the one span table of
         every frame kernel, computed once per curve.
 
         On s, C(t) = sum_k coef[s, k] x^k with x = (t - lo[s]) / (hi[s] - lo[s]),
-        Taylor terms C^(k)(lo) (hi - lo)^k / k! from the hodographs. bezier[:, s] holds
+        Taylor terms C^(k)(lo) (hi - lo)^k / k!. C^(k) is the kernel's value of the
+        k-th hodograph's control points P'_i = d (P_(i+1) - P_i) / (t_(i+d+1) - t_(i+1)),
+        differenced from degree d = p down (The NURBS Book 3.3). bezier[:, s] holds
         the span's p+1 Bezier points bernstein_matrix(p) @ coef[s], from its start
         to its end, control index first; their convex hull holds it (The NURBS Book
         5.1), and so does its bounding box from box[0, :, s] to box[1, :, s].
         """
-        p, knots = self.degree, self.knots.knots
+        p, cp, knots = self.degree, self.control_points, self.knots.knots
         s = p + np.flatnonzero(np.diff(knots)[p:self.knots.m - p] > 0)
         lo, hi = knots[s], knots[s + 1]
-        coef, curve = [], self
+        coef, kn = [], knots
         for k in range(p + 1):
-            coef.append(eval_curve_many(curve, lo) * ((hi - lo) ** k / math.factorial(k))[:, None])
-            curve = curve.derivative
+            d = p - k  # the degree of C^(k)
+            coef.append(_eval(cp, kn, d, lo) * ((hi - lo) ** k / math.factorial(k))[:, None])
+            if d:  # its hodograph on the inner knots, 0 over an empty span
+                width = (kn[d + 1:-1] - kn[1:len(cp)])[:, None]
+                diff = d * np.diff(cp, axis=0)
+                cp, kn = np.divide(diff, width, out=np.zeros_like(diff), where=width > 0), kn[1:-1]
         coef = np.stack(coef, axis=1)
         bezier = np.ascontiguousarray((bernstein_matrix(p) @ coef).transpose(1, 0, 2))
         box = np.stack([bezier.min(axis=0).T, bezier.max(axis=0).T])
@@ -207,8 +202,11 @@ def eval_curve_many(curve: BSplineCurve, ts: np.ndarray) -> np.ndarray:
     outside = ~((ts >= lo - tol) & (ts <= hi + tol))
     if outside.any():
         raise OutOfDomain(f"t={ts[outside][0]} outside [{lo}, {hi}]")
-    ts = np.clip(ts, lo, hi)
-    p, cp, knots = curve.degree, curve.control_points, curve.knots.knots
+    return _eval(curve.control_points, curve.knots.knots, curve.degree, np.clip(ts, lo, hi))
+
+
+def _eval(cp: np.ndarray, knots: np.ndarray, p: int, ts: np.ndarray) -> np.ndarray:
+    """The kernel of eval_curve_many, for parameters already in the domain."""
     spans = _find_spans(knots, p, ts)
     N = _basis_funs(knots, p, ts, spans)[:, :, None]
     ctrl = cp[spans + np.arange(-p, 1)[:, None]]
@@ -307,12 +305,11 @@ def fit_curve(polyline) -> BSplineCurve:
         ctrl = np.linalg.solve(B, pts)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure("singular interpolation system") from exc
-    curve = BSplineCurve(ctrl, kv)
-    resid = np.abs(eval_curve_many(curve, u) - pts).max()
+    resid = np.abs(B @ ctrl - pts).max()
     tol = max(1e-9, 1e-12 * np.abs(pts).max())
-    if resid > tol:
+    if not resid <= tol:  # a NaN residual is refused too
         raise SolveFailure(f"interpolation residual {resid:.3g} exceeds {tol:.3g}")
-    return curve
+    return BSplineCurve(ctrl, kv)
 
 
 def sample_uniform(curve: BSplineCurve, n: int) -> tuple[np.ndarray, np.ndarray]:

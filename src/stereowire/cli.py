@@ -50,6 +50,7 @@ def _validate(args) -> None:
         if isinstance(value, float) and not math.isfinite(value):
             raise ParseError(f"--{name.replace('_', '-')} must be finite")
     checks = (
+        ("seed", lambda v: v >= 0, "--seed must be >= 0"),  # numpy seeds no generator below 0
         ("noise_px", lambda v: v >= 0, "--noise-px must be >= 0"),
         ("samples", lambda v: v >= 4, "--samples must be >= 4"),
         ("n_segments", lambda v: v >= 3, "--n-segments must be >= 3"),  # the cubic fit needs 4 points
@@ -63,9 +64,6 @@ def _validate(args) -> None:
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if bool(args.camera_a) != bool(args.camera_b):
         raise ParseError("override the rig with both --camera-a and --camera-b or neither")
     if args.camera_a:
@@ -91,6 +89,8 @@ def cmd_synth(args) -> int:
             px = px + rng.normal(0.0, args.noise_px, px.shape)
         annotations[name] = px
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # only once every input is accepted
     io.save_camera(cam_a, out / "camera_a.json")
     io.save_camera(cam_b, out / "camera_b.json")
     io.save_curve(truth, out / "truth_curve.json")

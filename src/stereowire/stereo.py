@@ -213,9 +213,11 @@ MISSING = None
 
 @dataclass(frozen=True, eq=False)
 class ParamMatch:
-    """Sampled u_A -> u_B correspondences and their monotone interpolant."""
+    """Sampled u_A -> u_B correspondences, view A's points C_A(u_A) at the samples,
+    and the correspondences' monotone interpolant."""
 
     samples: list[tuple[float, float | None]]
+    points: np.ndarray
     interpolant: MonotoneInterpolant
 
 
@@ -252,7 +254,7 @@ def match_curves(curve_a: BSplineCurve, curve_b: BSplineCurve,
     if len(accepted) < 2:
         raise NoMatches(f"only {len(accepted)} epipolar correspondences found")
     interp = pchip_fit(np.array(accepted))
-    return ParamMatch(samples=samples, interpolant=interp)
+    return ParamMatch(samples=samples, points=pts_a, interpolant=interp)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +349,8 @@ def reconstruct_curve(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
     F = fundamental_matrix(cam_a, cam_b)
     match = match_curves(curve_a, curve_b, F, n_samples)
     u_as = np.array([ua for ua, _ in match.samples])
-    u_bs = np.clip(match.interpolant(u_as), *curve_b.domain)
-    pts_a = eval_curve_many(curve_a, u_as)
-    pts_b = eval_curve_many(curve_b, u_bs)
+    u_bs = match.interpolant(u_as)  # in view B's domain to rounding, which the evaluators clamp
+    pts_a, pts_b = match.points, eval_curve_many(curve_b, u_bs)
     world = np.array([triangulate_point(cam_a, cam_b, xa, xb) for xa, xb in zip(pts_a, pts_b)])
     curve3d = fit_curve(world)
 

@@ -10,6 +10,7 @@ from stereowire.bspline import (
     _find_spans,
     averaged_knots,
     basis,
+    bernstein_matrix,
     clamped_uniform_knots,
     dedupe_points,
     eval_curve_many,
@@ -21,6 +22,7 @@ from stereowire.errors import (
     DegenerateCurve,
     IndexOutOfRange,
     OutOfDomain,
+    SolveFailure,
     TooFewPoints,
 )
 
@@ -242,18 +244,48 @@ def test_eval_many_out_of_domain():
     assert eval_curve_many(curve, np.array([-1e-12, 1.0 + 1e-12])).shape == (2, 2)
 
 
-def test_derivative_matches_central_differences(rng):
+def test_span_start_slope_matches_one_sided_differences(rng):
+    # C'(lo) is the first-order term over the span width; a second-order difference
+    # into each span keeps its stencil off the knot before, where C' may jump
+    h = 1e-6
     for p in (1, 2, 3, 4):
         kv = random_clamped_kv(rng, degree=p)
         curve = BSplineCurve(rng.normal(size=(kv.n_basis, 3)), kv)
-        assert curve.derivative.domain == curve.domain
-        for t in rng.uniform(0.05, 0.95, 20):
-            if np.min(np.abs(kv.knots - t)) < 1e-4:
-                continue  # a knot in the stencil: one-sided derivatives differ
-            h = 1e-6
-            fd = (eval_curve_many(curve, [t + h])[0] - eval_curve_many(curve, [t - h])[0]) / (2 * h)
+        lo, hi, _, coef, _ = curve.power_spans
+        for s in np.flatnonzero(hi - lo > 1e-4):
+            c0, c1, c2 = eval_curve_many(curve, lo[s] + np.array([0.0, h, 2 * h]))
+            fd = (4 * c1 - 3 * c0 - c2) / (2 * h)
             scale = 1.0 + np.abs(fd).max()
-            assert np.abs(eval_curve_many(curve.derivative, [t])[0] - fd).max() < 1e-5 * scale
+            assert np.abs(coef[s, 1] / (hi[s] - lo[s]) - fd).max() < 1e-5 * scale
+
+
+def hodograph_curve(curve: BSplineCurve) -> BSplineCurve:
+    """C'(t) as a curve of degree p-1 on the inner knots (The NURBS Book 3.3), the zero
+    curve at p = 0: the reference the span table's differenced arrays must reproduce."""
+    p, cp, knots = curve.degree, curve.control_points, curve.knots.knots
+    if p == 0:
+        return BSplineCurve(np.zeros_like(cp), curve.knots)
+    width = (knots[p + 1:-1] - knots[1:cp.shape[0]])[:, None]
+    diff = p * np.diff(cp, axis=0)
+    ctrl = np.divide(diff, width, out=np.zeros_like(diff), where=width > 0)
+    return BSplineCurve(ctrl, KnotVector(knots[1:-1], p - 1))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 5])
+def test_power_spans_are_the_hodograph_curves_bit_for_bit(rng, p):
+    for _ in range(20):
+        kv = random_repeated_kv(rng, p)
+        curve = BSplineCurve(rng.normal(size=(kv.n_basis, 2)) * 100, kv)
+        lo, hi, bezier, coef, box = curve.power_spans
+        want, c = [], curve
+        for k in range(p + 1):
+            want.append(eval_curve_many(c, lo) * ((hi - lo) ** k / math.factorial(k))[:, None])
+            c = hodograph_curve(c)
+        want = np.stack(want, axis=1)
+        assert np.array_equal(coef, want)
+        want_bezier = (bernstein_matrix(p) @ want).transpose(1, 0, 2)
+        assert np.array_equal(bezier, want_bezier)
+        assert np.array_equal(box, [want_bezier.min(axis=0).T, want_bezier.max(axis=0).T])
 
 
 def test_power_spans_reproduce_the_curve(rng):
@@ -383,6 +415,24 @@ def test_averaged_knots_are_window_means(rng):
             assert np.array_equal(kv.knots[p + 1:kv.m - p], window_means)
             assert np.array_equal(kv.knots[:p + 1], np.zeros(p + 1))
             assert np.array_equal(kv.knots[kv.m - p:], np.ones(p + 1))
+
+
+def test_fit_singular_system_is_a_solve_failure(rng, monkeypatch):
+    def singular(B, pts):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SolveFailure, match="singular interpolation system"):
+        fit_curve(np.cumsum(rng.normal(size=(10, 2)), axis=0))
+
+
+@pytest.mark.parametrize("error", [1e-6, np.nan])
+def test_fit_checks_its_solve_by_the_collocation_matrix(rng, monkeypatch, error):
+    # the basis rows sum to one, so a control shift of 1e-6 moves every vertex by 1e-6
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda B, pts: solve(B, pts) + error)
+    with pytest.raises(SolveFailure, match="interpolation residual"):
+        fit_curve(np.cumsum(rng.normal(size=(10, 2)), axis=0) * 100)
 
 
 def test_fit_too_few_points():

@@ -587,16 +587,34 @@ def test_large_wires_are_fitted(argv, capsys, tmp_path, monkeypatch):
      "out of float range"),  # 1.005e307 mm away, within reach, but J J^T overflows
     (["relax", "--out", "c.json", "--stiffness", "1.7e308", "--tip-angle", "15",
       "--n-segments", "5", "--tip-target", "0,0,-4"], "out of float range"),  # energy = E * 12.8
+    (["synth", "--out", "w", "--seed", "-1"], "--seed must be >= 0"),
+    (["relax", "--out", "c.json", "--seed", "-5", "--tip-angle", "1"], "--seed must be >= 0"),
 ], ids=["synth-2-segments", "relax-2-segments", "huge-rest-bend", "relax-rest-bend-over-pi",
         "synth-rest-bend-over-pi", "synth-huge-segment-length", "huge-pinned-rod",
-        "huge-stiffness-energy"])
+        "huge-stiffness-energy", "synth-negative-seed", "relax-negative-seed"])
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_rod_flag_errors_name_the_cause(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
-    assert not (tmp_path / "c.json").exists() and not (tmp_path / "w" / "truth_curve.json").exists()
+    assert not (tmp_path / "c.json").exists() and not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("override,message", [
+    (["--camera-a", "cam.json"], "both --camera-a and --camera-b or neither"),
+    (["--camera-a", "cam.json", "--camera-b", "missing.json"], "missing.json"),
+    (["--camera-a", "cam.json", "--camera-b", "bad.json"], "bad.json"),
+], ids=["one-camera", "missing-camera", "malformed-camera"])
+def test_refused_camera_override_leaves_no_directory(override, message, capsys, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    swio.save_camera(default_rig()[0], tmp_path / "cam.json")
+    (tmp_path / "bad.json").write_text("{")
+    assert main(["synth", "--out", "w", *override]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "w").exists()
 
 
 def test_cached_parser_behaves_as_a_fresh_one(tmp_path, capsys):
