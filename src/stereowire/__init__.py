@@ -20,7 +20,6 @@ from .bspline import (
     sample_uniform,
 )
 from .cameras import (
-    Correspondence,
     ProjectiveCamera,
     calibrate_dlt,
     epiline,

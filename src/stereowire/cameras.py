@@ -71,28 +71,20 @@ class ProjectiveCamera:
         object.__setattr__(self, "center", center)
 
 
-@dataclass(frozen=True, eq=False)
-class Correspondence:
-    """A calibration pairing of one 3D world point (mm) with its pixel."""
-
-    world: np.ndarray
-    pixel: np.ndarray
-
-    def __post_init__(self):
-        world = np.asarray(self.world, dtype=float).reshape(3)
-        pixel = np.asarray(self.pixel, dtype=float).reshape(2)
-        if not (np.all(np.isfinite(world)) and np.all(np.isfinite(pixel))):
-            raise ValueError("correspondence coordinates must be finite")
-        object.__setattr__(self, "world", world)
-        object.__setattr__(self, "pixel", pixel)
-
-
 def normalize_fundamental(F: np.ndarray) -> np.ndarray:
-    """Unit Frobenius norm, first row-major entry with |e| > 1e-12 positive."""
+    """Unit Frobenius norm, first row-major entry with |e| > 1e-12 positive.
+
+    Raises RankDeficient for a zero matrix.
+    """
     F = np.asarray(F, dtype=float)
-    n = np.linalg.norm(F)
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero matrix")
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(F)
+    if not 0.0 < n < math.inf:  # squared entries under- or overflowed: scale by the largest
+        peak = np.abs(F).max()
+        if peak == 0.0:
+            raise RankDeficient("cannot normalize a zero matrix")
+        F = F / peak
+        n = np.linalg.norm(F)
     F = F / n
     flat = F.ravel()
     nz = np.flatnonzero(np.abs(flat) > 1e-12)
@@ -186,20 +178,26 @@ def _isotropic_normalization(pts: np.ndarray, target_rms: float) -> np.ndarray:
 
 
 def calibrate_dlt(
-    correspondences: list[Correspondence],
+    world: np.ndarray,
+    pixel: np.ndarray,
     image_size: tuple[int, int] = (1024, 1024),
 ) -> tuple[ProjectiveCamera, float]:
     """Estimate a camera by DLT from >= 6 world/pixel correspondences.
 
+    Row i of world, (n, 3) in mm, pairs with row i of pixel, (n, 2) in px.
     Both point sets are isotropically normalized first (centroid at the
     origin, RMS distance sqrt(2) for pixels and sqrt(3) for world points),
     the stacked 2n x 12 system is solved by SVD, and the result is
     de-normalized. Returns the camera and its mean reprojection error (px).
     """
-    if len(correspondences) < 6:
-        raise InsufficientPoints(f"need >= 6 correspondences, got {len(correspondences)}")
-    world = np.array([c.world for c in correspondences])
-    pixel = np.array([c.pixel for c in correspondences])
+    world = np.asarray(world, dtype=float)
+    pixel = np.asarray(pixel, dtype=float)
+    if world.ndim != 2 or world.shape[1] != 3 or pixel.shape != (len(world), 2):
+        raise ValueError(f"need (n, 3) world, (n, 2) pixel; got {world.shape}, {pixel.shape}")
+    if not (np.all(np.isfinite(world)) and np.all(np.isfinite(pixel))):
+        raise ValueError("correspondence coordinates must be finite")
+    if len(world) < 6:
+        raise InsufficientPoints(f"need >= 6 correspondences, got {len(world)}")
 
     T_px = _isotropic_normalization(pixel, np.sqrt(2.0))
     T_w = _isotropic_normalization(world, np.sqrt(3.0))
@@ -207,7 +205,7 @@ def calibrate_dlt(
     Xh = np.hstack([world, np.ones((len(world), 1))]) @ T_w.T
 
     # rows (0, -X, v X) and (X, 0, -u X) of each correspondence
-    A = np.zeros((2 * len(correspondences), 12))
+    A = np.zeros((2 * len(world), 12))
     A[0::2, 4:8] = -Xh
     A[0::2, 8:12] = xh[:, 1, None] * Xh
     A[1::2, 0:4] = Xh

@@ -18,7 +18,7 @@ import numpy as np
 from . import io, rod
 from .bspline import fit_curve, sample_uniform
 from .cameras import ProjectiveCamera, project_many
-from .errors import ParseError, StereowireError
+from .errors import ParseError, SchemaMismatch, StereowireError
 from .metrics import curve_metrics, episode_metrics
 from .rig import default_rig
 from .stereo import reconstruct_curve
@@ -125,6 +125,8 @@ def cmd_evaluate(args) -> int:
     if len(args.files) == 2:
         pred = io.load_curve(args.files[0])
         truth = io.load_curve(args.files[1])
+        if pred.dim != truth.dim:
+            raise SchemaMismatch(f"cannot compare a {pred.dim}D curve with a {truth.dim}D one")
         m = curve_metrics(pred, truth, n=args.samples)
         print("max_ed_mm,mete_mm,mers_mm,frechet_mm")
         print(",".join(_fmt(v) for v in (m.max_ed, m.mete, m.mers, m.frechet)))

@@ -12,7 +12,7 @@ class DegenerateProjection(StereowireError):
 
 
 class RankDeficient(StereowireError):
-    """Projection matrix has rank < 3."""
+    """Projection matrix has rank < 3, or a matrix to normalize is zero."""
 
 
 class CoincidentCenters(StereowireError):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from stereowire.cameras import (
-    Correspondence,
     ProjectiveCamera,
     calibrate_dlt,
     canonical_homogeneous,
@@ -175,6 +174,18 @@ def test_fundamental_invariants(rng):
     assert np.linalg.norm(e_b @ F) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_normalize_fundamental_does_not_depend_on_scale(rng, scale):
+    # the squares in the Frobenius norm under- or overflow at these scales
+    F = fundamental_matrix(*random_stereo_rig(rng))
+    assert np.abs(normalize_fundamental(F * scale) - normalize_fundamental(F)).max() <= 1e-14
+
+
+def test_normalize_fundamental_refuses_a_zero_matrix():
+    with pytest.raises(RankDeficient):
+        normalize_fundamental(np.zeros((3, 3)))
+
+
 # ---------------------------------------------------------------- epiline
 
 def test_epiline_exact_correspondence(rng):
@@ -209,13 +220,13 @@ def test_epiline_skew_pattern_manual_multiply():
 # ---------------------------------------------------------------- DLT calibration
 
 def _correspondences(cam, X):
-    return [Correspondence(x, project_many(cam, [x])[0]) for x in X]
+    return X, project_many(cam, X)
 
 
 def test_dlt_exact_recovery(rng):
     cam = random_camera(rng)
     X = rng.uniform(-150, 150, (12, 3))
-    est, err = calibrate_dlt(_correspondences(cam, X), cam.image_size)
+    est, err = calibrate_dlt(*_correspondences(cam, X), cam.image_size)
     P_true = normalize_fundamental_like(cam.P)
     P_est = normalize_fundamental_like(est.P)
     assert np.abs(P_true - P_est).max() < 1e-8
@@ -233,7 +244,7 @@ def test_dlt_insufficient_points(rng):
     cam = random_camera(rng)
     X = rng.uniform(-150, 150, (5, 3))
     with pytest.raises(InsufficientPoints):
-        calibrate_dlt(_correspondences(cam, X))
+        calibrate_dlt(*_correspondences(cam, X))
 
 
 def test_dlt_coplanar_points_degenerate(rng):
@@ -242,14 +253,32 @@ def test_dlt_coplanar_points_degenerate(rng):
     X = rng.uniform(-150, 150, (10, 3))
     X[:, 2] = 40.0  # all world points on one plane
     with pytest.raises(DegenerateConfiguration):
-        calibrate_dlt(_correspondences(cam, X))
+        calibrate_dlt(*_correspondences(cam, X))
+
+
+@pytest.mark.parametrize("case,message", [
+    ("world 2 columns", "need"), ("pixel 3 columns", "need"), ("flat world", "need"),
+    ("unequal rows", "need"), ("nan world", "finite"), ("inf pixel", "finite"),
+])
+def test_dlt_refuses_malformed_arrays(rng, case, message):
+    world, pixel = _correspondences(random_camera(rng), rng.uniform(-150, 150, (8, 3)))
+    world, pixel = {
+        "world 2 columns": (world[:, :2], pixel),
+        "pixel 3 columns": (world, np.hstack([pixel, pixel[:, :1]])),
+        "flat world": (world.ravel(), pixel),
+        "unequal rows": (world, pixel[:-1]),
+        "nan world": (np.where(np.arange(3) == 1, np.nan, world), pixel),
+        "inf pixel": (world, np.where(np.arange(2) == 0, np.inf, pixel)),
+    }[case]
+    with pytest.raises(ValueError, match=message):
+        calibrate_dlt(world, pixel)
 
 
 def test_dlt_noisy_mean_reprojection(rng):
     cam = random_camera(rng)
     X = rng.uniform(-150, 150, (50, 3))
-    corrs = [Correspondence(x, project_many(cam, [x])[0] + rng.normal(0, 0.5, 2)) for x in X]
-    _, err = calibrate_dlt(corrs, cam.image_size)
+    pixel = project_many(cam, X) + rng.normal(0, 0.5, (50, 2))
+    _, err = calibrate_dlt(X, pixel, cam.image_size)
     assert err <= 1.5
 
 
@@ -257,5 +286,5 @@ def test_dlt_noiseless_inverts_project(rng):
     # calibrate_dlt on exact projections must reproduce every pixel
     cam = random_camera(rng)
     X = rng.uniform(-150, 150, (30, 3))
-    est, _ = calibrate_dlt(_correspondences(cam, X), cam.image_size)
+    est, _ = calibrate_dlt(*_correspondences(cam, X), cam.image_size)
     assert np.abs(project_many(est, X) - project_many(cam, X)).max() < 1e-7

@@ -293,6 +293,48 @@ def test_reconstruct_overflowing_annotation_single_line_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit,message", [
+    ({"camera": "A"}, "annotations must cover cameras 'A' and 'B'"),
+    ({"frame": 1}, "annotation frames differ: 0 vs 1"),
+])
+def test_reconstruct_refuses_unpaired_annotations(tmp_path, capsys, edit, message):
+    out = synth_dir(tmp_path)
+    ann = json.loads((out / "annotation_b.json").read_text())
+    ann.update(edit)
+    bad = tmp_path / "unpaired.json"
+    bad.write_text(json.dumps(ann))
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    rc = main(["reconstruct", "--camera-a", str(out / "camera_a.json"),
+               "--camera-b", str(out / "camera_b.json"),
+               "--annotations", str(out / "annotation_a.json"), str(bad),
+               "--out", str(report)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_reconstruct_with_a_rescaled_camera_single_line_error(tmp_path, capsys):
+    # P * 1e300 is the same projective camera, but the squares in the norm of
+    # its F underflow; the frame is refused, at triangulation, in one line
+    out = synth_dir(tmp_path, seed=3, noise=1.0)
+    cam = json.loads((out / "camera_a.json").read_text())
+    cam["P"] = [[v * 1e300 for v in row] for row in cam["P"]]
+    big = tmp_path / "big_a.json"
+    big.write_text(json.dumps(cam))
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    rc = main(["reconstruct", "--camera-a", str(big),
+               "--camera-b", str(out / "camera_b.json"),
+               "--annotations", str(out / "annotation_a.json"), str(out / "annotation_b.json"),
+               "--out", str(report)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not report.exists()
+
+
 def test_reconstruct_swapped_cameras_corrupts_result(tmp_path):
     # Swapped camera files cannot be caught by the reprojection gate: the
     # matcher enforces epipolar consistency for whatever camera pair it is
@@ -398,6 +440,20 @@ def test_evaluate_reads_the_report_reconstruct_writes(tmp_path, capsys):
     assert main(["evaluate", str(out / "pred_curve.json"), str(out / "truth_curve.json")]) == 0
     assert from_report == capsys.readouterr().out
     assert from_report.splitlines()[0] == "max_ed_mm,mete_mm,mers_mm,frechet_mm"
+
+
+@pytest.mark.parametrize("kind", ["curve", "report"])
+def test_evaluate_refuses_curves_of_different_dimension(tmp_path, capsys, kind):
+    out = synth_dir(tmp_path, seed=3, noise=1.0)
+    curve = json.loads((out / "truth_curve.json").read_text())
+    curve["control_points"] = [p[:2] for p in curve["control_points"]]
+    if kind == "report":
+        curve = {"frame": 0, "accepted": True, "mean_reproj_px": 0.0, "curve": curve}
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps(curve))
+    capsys.readouterr()
+    assert main(["evaluate", str(flat), str(out / "truth_curve.json")]) == 1
+    assert capsys.readouterr() == ("", "error: cannot compare a 2D curve with a 3D one\n")
 
 
 def readme_flow() -> list[list[str]]:

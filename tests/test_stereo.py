@@ -404,6 +404,24 @@ def test_each_root_of_a_span_is_listed_once(tmp_path, monkeypatch):
     assert sum(np.count_nonzero(np.diff(np.sort(xs)) <= 1e-9) for xs in solved) == 0
 
 
+def test_batched_epilines_round_as_the_per_sample_ones(tmp_path):
+    # a batched frame must form F x_A by a stack of (3, 3) @ (3, 1) products:
+    # Xh @ F.T sums in another order and differs in the last bit on some samples
+    n = 0
+    for seed in range(10):
+        cam_a, cam_b, curve_a, _ = synth_frame(tmp_path / str(seed), seed, 1.0)
+        F = fundamental_matrix(cam_a, cam_b)
+        _, pts = sample_uniform(curve_a, 64)
+        Xh = np.column_stack([pts, np.ones(len(pts))])
+        lines = np.matmul(F[None], Xh[:, :, None])[:, :, 0]
+        assert all(np.array_equal(F @ np.array((u, v, 1.0)), l)
+                   for (u, v), l in zip(pts.tolist(), lines))
+        lines /= np.hypot(lines[:, 0], lines[:, 1])[:, None]
+        assert np.array_equal(lines, [epiline(F, x) for x in pts])
+        n += len(pts)
+    assert n == 640
+
+
 def test_reconstruction_calls_no_eigenvalue_solver(tmp_path, monkeypatch):
     frame = synth_frame(tmp_path, 3, 1.0)
     want = reconstruct_curve(*frame)
