@@ -13,7 +13,6 @@ Submodules:
 
 from .bspline import (
     BSplineCurve,
-    KnotVector,
     basis,
     fit_curve,
     parameterize_arclength,

@@ -31,56 +31,16 @@ DEDUP_TOL = 1e-9
 FIT_DEGREE = 3  # every fitted curve is a cubic
 
 
-@dataclass(frozen=True, eq=False)
-class KnotVector:
-    """Nondecreasing knots t_0..t_m with a degree p.
-
-    A curve over this vector has n_ctrl = m - p control points; the
-    evaluation domain is [t_p, t_(m-p)].
-    """
-
-    knots: np.ndarray
-    degree: int
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        p = int(self.degree)
-        if p < 0:
-            raise ValueError("degree must be nonnegative")
-        if knots.ndim != 1 or knots.size < 2 * p + 2:
-            raise ValueError("knot vector too short for its degree")
-        if np.any(np.diff(knots) < 0):
-            raise ValueError("knots must be nondecreasing")
-        if not knots[p] < knots[knots.size - 1 - p]:
-            raise ValueError("empty evaluation domain")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "degree", p)
-
-    @property
-    def m(self) -> int:
-        return self.knots.size - 1
-
-    @property
-    def n_basis(self) -> int:
-        """Number of basis functions / control points (m - p)."""
-        return self.m - self.degree
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.knots[self.degree]), float(self.knots[self.m - self.degree])
-
-
-def clamped_uniform_knots(n_ctrl: int, degree: int) -> KnotVector:
-    """Clamped knot vector on [0, 1] with uniformly spaced interior knots."""
+def clamped_uniform_knots(n_ctrl: int, degree: int) -> np.ndarray:
+    """Clamped knots on [0, 1] with uniformly spaced interior knots."""
     p = degree
     if n_ctrl < p + 1:
         raise ValueError("need at least degree+1 control points")
     interior = np.linspace(0.0, 1.0, n_ctrl - p + 1)[1:-1]
-    knots = np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
-    return KnotVector(knots, p)
+    return np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
 
 
-def averaged_knots(u: np.ndarray, degree: int) -> KnotVector:
+def averaged_knots(u: np.ndarray, degree: int) -> np.ndarray:
     """Clamped knots for interpolation at parameters u by knot averaging.
 
     Interior knot t_(p+j) is the mean of p consecutive parameters
@@ -94,8 +54,7 @@ def averaged_knots(u: np.ndarray, degree: int) -> KnotVector:
     for k in range(1, p):
         interior += u[1 + k:1 + k + count]
     interior /= p
-    knots = np.concatenate([np.full(p + 1, u[0]), interior, np.full(p + 1, u[-1])])
-    return KnotVector(knots, p)
+    return np.concatenate([np.full(p + 1, u[0]), interior, np.full(p + 1, u[-1])])
 
 
 def _find_spans(knots: np.ndarray, p: int, ts: np.ndarray) -> np.ndarray:
@@ -121,27 +80,35 @@ def _basis_funs(knots: np.ndarray, p: int, ts: np.ndarray, spans: np.ndarray) ->
 class BSplineCurve:
     """C(t) = sum_i P_i B_(i,p)(t) with control points of any dimension.
 
-    2D instances are annotation fits (px), 3D instances wires (mm).
+    The nondecreasing knots t_0..t_m and the degree p carry n_ctrl = m - p
+    control points; the evaluation domain is [t_p, t_(m-p)]. 2D instances
+    are annotation fits (px), 3D instances wires (mm).
     """
 
     control_points: np.ndarray
-    knots: KnotVector
+    knots: np.ndarray
+    degree: int
 
     def __post_init__(self):
         cp = np.atleast_2d(np.asarray(self.control_points, dtype=float))
-        p = self.knots.degree
-        if cp.shape[0] != self.knots.n_basis:
+        knots = np.asarray(self.knots, dtype=float)
+        p = int(self.degree)
+        if p < 0:
+            raise ValueError("degree must be nonnegative")
+        if knots.ndim != 1 or np.any(np.diff(knots) < 0):
+            raise ValueError("knots must be a nondecreasing 1-D array")
+        if knots.size != cp.shape[0] + p + 1:
             raise ValueError(
                 f"{cp.shape[0]} control points incompatible with knot count "
-                f"{self.knots.m + 1} at degree {p}"
+                f"{knots.size} at degree {p}"
             )
         if cp.shape[0] < p + 1:
             raise ValueError("need at least degree+1 control points")
+        if not knots[p] < knots[-1 - p]:
+            raise ValueError("empty evaluation domain")
         object.__setattr__(self, "control_points", cp)
-
-    @property
-    def degree(self) -> int:
-        return self.knots.degree
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "degree", p)
 
     @property
     def dim(self) -> int:
@@ -149,7 +116,7 @@ class BSplineCurve:
 
     @property
     def domain(self) -> tuple[float, float]:
-        return self.knots.domain
+        return float(self.knots[self.degree]), float(self.knots[-1 - self.degree])
 
     @cached_property
     def power_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -164,8 +131,8 @@ class BSplineCurve:
         to its end, control index first; their convex hull holds it (The NURBS Book
         5.1), and so does its bounding box from box[0, :, s] to box[1, :, s].
         """
-        p, cp, knots = self.degree, self.control_points, self.knots.knots
-        s = p + np.flatnonzero(np.diff(knots)[p:self.knots.m - p] > 0)
+        p, cp, knots = self.degree, self.control_points, self.knots
+        s = p + np.flatnonzero(np.diff(knots)[p:knots.size - 1 - p] > 0)
         lo, hi = knots[s], knots[s + 1]
         coef, kn = [], knots
         for k in range(p + 1):
@@ -202,7 +169,7 @@ def eval_curve_many(curve: BSplineCurve, ts: np.ndarray) -> np.ndarray:
     outside = ~((ts >= lo - tol) & (ts <= hi + tol))
     if outside.any():
         raise OutOfDomain(f"t={ts[outside][0]} outside [{lo}, {hi}]")
-    return _eval(curve.control_points, curve.knots.knots, curve.degree, np.clip(ts, lo, hi))
+    return _eval(curve.control_points, curve.knots, curve.degree, np.clip(ts, lo, hi))
 
 
 def _eval(cp: np.ndarray, knots: np.ndarray, p: int, ts: np.ndarray) -> np.ndarray:
@@ -216,19 +183,20 @@ def _eval(cp: np.ndarray, knots: np.ndarray, p: int, ts: np.ndarray) -> np.ndarr
     return out
 
 
-def basis(i: int, p: int, t: float, kv: KnotVector) -> float:
-    """Value of the i-th degree-p basis function at t over kv's knots.
+def basis(i: int, p: int, t: float, knots) -> float:
+    """Value of the i-th degree-p basis function at t over knots t_0..t_m.
 
     The batched kernel's value at t of the curve whose control points are
-    the unit vector e_i. Raises IndexOutOfRange unless 0 <= i <= m - p - 1,
+    the unit vector e_i. Raises ValueError, as BSplineCurve does, for knots
+    that hold no degree-p curve, IndexOutOfRange unless 0 <= i <= m - p - 1,
     and OutOfDomain, as every evaluator does, unless t lies within 1e-10
     (relative) of the evaluation domain [t_p, t_(m-p)].
     """
-    kv = KnotVector(kv.knots, p)
-    if not 0 <= i < kv.n_basis:
-        raise IndexOutOfRange(f"basis index {i} outside 0..{kv.n_basis - 1}")
-    unit = np.eye(kv.n_basis)[:, [i]]
-    return float(eval_curve_many(BSplineCurve(unit, kv), [t])[0, 0])
+    n = np.size(knots) - p - 1
+    curve = BSplineCurve(np.eye(max(n, 0)), knots, p)
+    if not 0 <= i < n:
+        raise IndexOutOfRange(f"basis index {i} outside 0..{n - 1}")
+    return float(eval_curve_many(curve, [t])[0, i])
 
 
 def dedupe_points(points: np.ndarray) -> np.ndarray:
@@ -296,11 +264,11 @@ def fit_curve(polyline) -> BSplineCurve:
     if n < degree + 1:
         raise TooFewPoints(f"need >= {degree + 1} distinct points, got {n}")
     u = parameterize_arclength(pts)
-    kv = averaged_knots(u, degree)
-    spans = _find_spans(kv.knots, degree, u)
+    knots = averaged_knots(u, degree)
+    spans = _find_spans(knots, degree, u)
     cols = spans[:, None] - degree + np.arange(degree + 1)
     B = np.zeros((n, n))
-    B[np.arange(n)[:, None], cols] = _basis_funs(kv.knots, degree, u, spans).T
+    B[np.arange(n)[:, None], cols] = _basis_funs(knots, degree, u, spans).T
     try:
         ctrl = np.linalg.solve(B, pts)
     except np.linalg.LinAlgError as exc:
@@ -309,7 +277,7 @@ def fit_curve(polyline) -> BSplineCurve:
     tol = max(1e-9, 1e-12 * np.abs(pts).max())
     if not resid <= tol:  # a NaN residual is refused too
         raise SolveFailure(f"interpolation residual {resid:.3g} exceeds {tol:.3g}")
-    return BSplineCurve(ctrl, kv)
+    return BSplineCurve(ctrl, knots, degree)
 
 
 def sample_uniform(curve: BSplineCurve, n: int) -> tuple[np.ndarray, np.ndarray]:

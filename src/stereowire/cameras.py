@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,14 @@ class ProjectiveCamera:
         center = canonical_homogeneous(Vt[-1])
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
+
+    @cached_property
+    def unit_P(self) -> np.ndarray:
+        """P times the power of two that brings its largest |entry| into [0.5, 1): the
+        same camera with the same mantissas, at one scale whatever scale P came at."""
+        P = np.ldexp(self.P, -np.frexp(np.abs(self.P).max())[1])
+        P.flags.writeable = False
+        return P
 
 
 def normalize_fundamental(F: np.ndarray) -> np.ndarray:
@@ -137,14 +146,15 @@ def fundamental_matrix(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera) -> np.n
     """F = [e_B]_x P_B P_A^+ where e_B = P_B C_A is view B's epipole.
 
     F is rank 2 with x_B^T F x_A = 0 for corresponding points, returned
-    normalized (see normalize_fundamental). The pseudoinverse zeroes
+    normalized (see normalize_fundamental), from both cameras' unit_P, so
+    F does not depend on the scale of either P. The pseudoinverse zeroes
     singular values below 1e-12 * sigma_max. Raises CoincidentCenters
     when the two camera centers coincide.
     """
     _check_distinct_centers(cam_a, cam_b)
-    e_b = cam_b.P @ cam_a.center
-    P_a_pinv = np.linalg.pinv(cam_a.P, rcond=1e-12)
-    return normalize_fundamental(skew(e_b) @ cam_b.P @ P_a_pinv)
+    e_b = cam_b.unit_P @ cam_a.center
+    P_a_pinv = np.linalg.pinv(cam_a.unit_P, rcond=1e-12)
+    return normalize_fundamental(skew(e_b) @ cam_b.unit_P @ P_a_pinv)
 
 
 def epiline(F: np.ndarray, x_a) -> np.ndarray:

@@ -44,6 +44,9 @@ _ROT_Z_TO_Y = np.array([
     [0.0, -1.0, 0.0],
 ])  # rotate the rod's growth axis (+z) onto the rig's vertical (+y)
 
+# a size flag n sets an n x n float table (Frechet, collocation): 4096 keeps it at 128 MiB
+MAX_SIZE = 4096
+
 
 def _validate(args) -> None:
     for name, value in vars(args).items():
@@ -61,6 +64,9 @@ def _validate(args) -> None:
     for name, ok, msg in checks:
         if hasattr(args, name) and not ok(getattr(args, name)):
             raise ParseError(msg)
+    for name in ("samples", "n_segments", "annotation_points"):
+        if getattr(args, name, 0) > MAX_SIZE:
+            raise ParseError(f"--{name.replace('_', '-')} must be <= {MAX_SIZE}")
 
 
 def cmd_synth(args) -> int:

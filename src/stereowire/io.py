@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bspline import BSplineCurve, KnotVector
+from .bspline import BSplineCurve
 from .cameras import ProjectiveCamera
 from .errors import ParseError, SchemaMismatch, StereowireError
 from .metrics import Episode
@@ -177,7 +177,7 @@ def load_camera(path) -> ProjectiveCamera:
 def curve_to_dict(curve: BSplineCurve) -> dict:
     return {
         "degree": curve.degree,
-        "knots": curve.knots.knots.tolist(),
+        "knots": curve.knots.tolist(),
         "control_points": curve.control_points.tolist(),
     }
 
@@ -194,7 +194,7 @@ def curve_from_dict(obj: dict, what: str) -> BSplineCurve:
     if cp.shape[1] not in (2, 3):
         raise ParseError(f"{what}: control points must be 2D or 3D")
     try:
-        return BSplineCurve(cp, KnotVector(knots, degree))
+        return BSplineCurve(cp, knots, degree)
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}") from exc
 

@@ -105,13 +105,12 @@ def pchip_fit(pairs) -> MonotoneInterpolant:
 
 
 def _edge_derivative(h0, h1, d0, d1):
-    """One-sided three-point end slope, clamped for monotone shape."""
+    """One-sided three-point end slope, clamped to [0, 3 d0] for monotone shape.
+
+    pchip_fit passes the secants d0, d1 >= 0 of a nondecreasing y.
+    """
     d = ((2 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-    if np.sign(d) != np.sign(d0):
-        return 0.0
-    if np.sign(d0) != np.sign(d1) and abs(d) > 3 * abs(d0):
-        return 3 * d0
-    return min(d, 3 * d0) if d0 > 0 else max(d, 3 * d0)
+    return min(max(d, 0.0), 3 * d0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +263,13 @@ def triangulate_point(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
                       x_a, x_b) -> np.ndarray:
     """Two-view DLT triangulation (two rows per view, 4x4 system).
 
-    The solution is the right singular vector of the smallest singular
-    value; raises CoincidentCenters when the camera centers coincide and
+    The rows come from each camera's unit_P, so both views weigh alike at
+    any scale of P. The solution is the right singular vector of the
+    smallest singular value; raises CoincidentCenters when the camera centers coincide and
     PointAtInfinity when the solution's homogeneous weight is ~ 0.
     """
     _check_distinct_centers(cam_a, cam_b)
-    P = np.array((cam_a.P, cam_b.P))
+    P = np.array((cam_a.unit_P, cam_b.unit_P))
     # rows x P[2] - P[0] and y P[2] - P[1] of view A, then of view B
     A = (np.array((x_a, x_b), dtype=float).reshape(2, 2, 1) * P[:, 2:] - P[:, :2]).reshape(4, 4)
     _, s, Vt = np.linalg.svd(A)

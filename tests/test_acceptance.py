@@ -28,7 +28,7 @@ from stereowire.rod import _tip_and_jacobian
 from stereowire.stereo import pchip_fit
 
 from conftest import random_stereo_rig
-from test_bspline import de_boor_oracle, random_clamped_kv
+from test_bspline import de_boor_oracle, n_ctrl, random_clamped_knots
 from test_metrics import frechet_memo_oracle
 from test_rod import fd_jacobian, random_unit_quat
 
@@ -117,18 +117,18 @@ def test_criterion_4_bspline_properties():
     rng = np.random.default_rng(104)
     worst_pu = 0.0
     for _ in range(1000):
-        kv = random_clamped_kv(rng)
-        t = rng.uniform(*kv.domain)
-        total = sum(basis(i, kv.degree, t, kv) for i in range(kv.n_basis))
+        knots, p = random_clamped_knots(rng)
+        t = rng.uniform(knots[p], knots[-1 - p])
+        total = sum(basis(i, p, t, knots) for i in range(n_ctrl(knots, p)))
         worst_pu = max(worst_pu, abs(total - 1.0))
     assert worst_pu < 1e-12
 
     worst_eval = 0.0
     for _ in range(20):
-        kv = random_clamped_kv(rng, degree=3)
-        cp = rng.normal(size=(kv.n_basis, 3))
+        knots, _ = random_clamped_knots(rng, degree=3)
+        cp = rng.normal(size=(n_ctrl(knots, 3), 3))
         from stereowire.bspline import BSplineCurve
-        curve = BSplineCurve(cp, kv)
+        curve = BSplineCurve(cp, knots, 3)
         for t in rng.uniform(0.0, 1.0, 50):
             diff = np.abs(eval_curve_many(curve, [t])[0] - de_boor_oracle(curve, t)).max()
             worst_eval = max(worst_eval, diff)

@@ -181,6 +181,23 @@ def test_normalize_fundamental_does_not_depend_on_scale(rng, scale):
     assert np.abs(normalize_fundamental(F * scale) - normalize_fundamental(F)).max() <= 1e-14
 
 
+@pytest.mark.parametrize("scale_a, scale_b", [(1e-9, 1.0), (1e9, 1.0), (1e300, 1.0), (1e200, 1e200)],
+                         ids=["a-1e-9", "a-1e9", "a-1e300", "both-1e200"])
+@pytest.mark.filterwarnings("error")
+def test_fundamental_matrix_does_not_depend_on_the_scale_of_P(rng, scale_a, scale_b):
+    # F is formed from P times a power of two, so a power-of-two scale keeps its bits
+    for _ in range(20):
+        cam_a, cam_b = random_stereo_rig(rng)
+        F = fundamental_matrix(cam_a, cam_b)
+        for sa, sb in ((scale_a, scale_b), (2.0 ** -30, 2.0 ** 50)):
+            scaled = (ProjectiveCamera(cam_a.P * sa, cam_a.image_size),
+                      ProjectiveCamera(cam_b.P * sb, cam_b.image_size))
+            got = fundamental_matrix(*scaled)
+            if sa == 2.0 ** -30:
+                assert np.array_equal(got, F)
+            assert np.abs(got - F).max() <= 1e-12  # P * s rounds each entry of P
+
+
 def test_normalize_fundamental_refuses_a_zero_matrix():
     with pytest.raises(RankDeficient):
         normalize_fundamental(np.zeros((3, 3)))

@@ -11,7 +11,8 @@ import pytest
 
 import stereowire.io as swio
 from stereowire.bspline import eval_curve_many, fit_curve, parameterize_arclength
-from stereowire.cli import build_parser, main
+from stereowire import rod
+from stereowire.cli import MAX_SIZE, _validate, build_parser, main
 from stereowire.errors import ParseError, SchemaMismatch, StereowireError
 from stereowire.metrics import Episode, curve_metrics
 from stereowire.rig import default_rig
@@ -82,6 +83,16 @@ def test_episode_round_trip(tmp_path, rng):
     assert np.allclose(back[0].tip_positions, eps[0].tip_positions, rtol=1e-8)
 
 
+def test_episode_max_steps_round_trip(tmp_path):
+    ep = Episode(tip_positions=np.zeros((2, 3)), forces=np.zeros((0, 3)),
+                 goal=np.ones(3), success=False, max_steps=7)
+    path = tmp_path / "ep.json"
+    swio.save_episodes([ep], path)
+    assert json.loads(path.read_text())[0]["max_steps"] == 7
+    back = swio.load_episodes(path)[0]
+    assert back.max_steps == 7 and back.success is False
+
+
 def test_schema_mismatch_curve_vs_episode(tmp_path, rng):
     curve = fit_curve(np.cumsum(rng.normal(size=(6, 3)), axis=0))
     cpath = tmp_path / "curve.json"
@@ -115,6 +126,14 @@ def test_chain_unknown_field(tmp_path):
     path.write_text(json.dumps({"tip": [0, 0, 0], "r": 1.0, "offsets": [],
                                 "spacing": 2}))
     with pytest.raises(ParseError, match="spacing"):
+        swio.load_chain(path)
+
+
+@pytest.mark.parametrize("r", [0.0, -2.0])
+def test_chain_refuses_a_radius_that_is_not_positive(tmp_path, r):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"tip": [0, 0, 0], "r": r, "offsets": []}))
+    with pytest.raises(ParseError, match="r must be a positive number"):
         swio.load_chain(path)
 
 
@@ -314,25 +333,31 @@ def test_reconstruct_refuses_unpaired_annotations(tmp_path, capsys, edit, messag
     assert not report.exists()
 
 
+@pytest.mark.parametrize("scale_a, scale_b", [(1e300, 1.0), (1e200, 1e200)],
+                         ids=["a-1e300", "both-1e200"])
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
-def test_reconstruct_with_a_rescaled_camera_single_line_error(tmp_path, capsys):
-    # P * 1e300 is the same projective camera, but the squares in the norm of
-    # its F underflow; the frame is refused, at triangulation, in one line
+def test_reconstruct_with_rescaled_cameras_accepts_the_frame(tmp_path, capsys, scale_a, scale_b):
+    # P * s is the same projective camera: the frame is accepted, with the
+    # unscaled frame's curve, though the squares of these P's entries over-
+    # or underflow
     out = synth_dir(tmp_path, seed=3, noise=1.0)
-    cam = json.loads((out / "camera_a.json").read_text())
-    cam["P"] = [[v * 1e300 for v in row] for row in cam["P"]]
-    big = tmp_path / "big_a.json"
-    big.write_text(json.dumps(cam))
-    report = tmp_path / "r.json"
+    argv = ["--annotations", str(out / "annotation_a.json"), str(out / "annotation_b.json")]
+    assert main(["reconstruct", "--camera-a", str(out / "camera_a.json"),
+                 "--camera-b", str(out / "camera_b.json"), *argv, "--out", str(tmp_path / "r.json")]) == 0
+    for view, scale in (("a", scale_a), ("b", scale_b)):
+        cam = json.loads((out / f"camera_{view}.json").read_text())
+        cam["P"] = [[v * scale for v in row] for row in cam["P"]]
+        (tmp_path / f"scaled_{view}.json").write_text(json.dumps(cam))
     capsys.readouterr()
-    rc = main(["reconstruct", "--camera-a", str(big),
-               "--camera-b", str(out / "camera_b.json"),
-               "--annotations", str(out / "annotation_a.json"), str(out / "annotation_b.json"),
-               "--out", str(report)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert not report.exists()
+    rc = main(["reconstruct", "--camera-a", str(tmp_path / "scaled_a.json"),
+               "--camera-b", str(tmp_path / "scaled_b.json"), *argv, "--out", str(tmp_path / "s.json")])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert captured.out.startswith("frame 0: accepted=True ") and len(captured.out.splitlines()) == 1
+    want, got = (swio.load_report(tmp_path / name) for name in ("r.json", "s.json"))
+    assert np.array_equal(got["curve"].knots, want["curve"].knots)
+    # the reports hold 9 significant digits of curves within 1e-12 mm of each other
+    assert np.abs(got["curve"].control_points - want["curve"].control_points).max() < 1e-6
 
 
 def test_reconstruct_swapped_cameras_corrupts_result(tmp_path):
@@ -491,6 +516,24 @@ def test_evaluate_episode_single_step(tmp_path, capsys):
     assert float(cells[5]) == 1.0   # spl: stationary success counts as optimal
 
 
+@pytest.mark.parametrize("files, message", [
+    (["c.json", "c.json", "c.json"], "evaluate takes PRED TRUTH curve or report files"),
+    (["yes.json"], "success must be a boolean"),
+    (["empty.json"], "empty episode list"),
+], ids=["three-files", "success-not-boolean", "empty-episode-list"])
+def test_evaluate_refusals_name_the_cause(tmp_path, capsys, monkeypatch, files, message):
+    monkeypatch.chdir(tmp_path)
+    ep = {"tip": [[0.0, 0.0, 0.0]], "forces": [], "goal": [1.0, 0.0, 0.0], "success": "yes"}
+    Path("yes.json").write_text(json.dumps([ep]))
+    Path("empty.json").write_text("[]")
+    swio.save_curve(fit_curve(np.eye(4, 3)), "c.json")
+    assert main(["evaluate", *files]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+    assert captured.out == ""
+
+
 def test_evaluate_schema_mismatch_exits_nonzero(tmp_path, capsys):
     out = synth_dir(tmp_path)
     rc = main(["evaluate", str(out / "truth_curve.json")])  # curve in episode slot
@@ -645,9 +688,12 @@ def test_large_wires_are_fitted(argv, capsys, tmp_path, monkeypatch):
       "--n-segments", "5", "--tip-target", "0,0,-4"], "out of float range"),  # energy = E * 12.8
     (["synth", "--out", "w", "--seed", "-1"], "--seed must be >= 0"),
     (["relax", "--out", "c.json", "--seed", "-5", "--tip-angle", "1"], "--seed must be >= 0"),
+    (["relax", "--out", "c.json", "--tip-target", "1,2"], "--tip-target must be 'x,y,z' in mm"),
+    (["relax", "--out", "c.json", "--tip-target", "a,b,c"], "--tip-target must be 'x,y,z' in mm"),
 ], ids=["synth-2-segments", "relax-2-segments", "huge-rest-bend", "relax-rest-bend-over-pi",
         "synth-rest-bend-over-pi", "synth-huge-segment-length", "huge-pinned-rod",
-        "huge-stiffness-energy", "synth-negative-seed", "relax-negative-seed"])
+        "huge-stiffness-energy", "synth-negative-seed", "relax-negative-seed",
+        "tip-target-two-values", "tip-target-not-numbers"])
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_rod_flag_errors_name_the_cause(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -655,6 +701,40 @@ def test_rod_flag_errors_name_the_cause(argv, message, capsys, tmp_path, monkeyp
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
     assert not (tmp_path / "c.json").exists() and not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["evaluate", "p.json", "t.json", "--samples", "30000"], "--samples"),
+    (["evaluate", "p.json", "t.json", "--samples", "100000000"], "--samples"),
+    (["reconstruct", "--camera-a", "a.json", "--camera-b", "b.json",
+      "--annotations", "x.json", "y.json", "--out", "r.json", "--samples", "4097"], "--samples"),
+    (["synth", "--out", "w", "--annotation-points", "50000"], "--annotation-points"),
+    (["synth", "--out", "w", "--n-segments", "50000"], "--n-segments"),
+    (["relax", "--out", "c.json", "--n-segments", "50000"], "--n-segments"),
+], ids=["evaluate-30000", "evaluate-1e8", "reconstruct-4097", "synth-annotation-points",
+        "synth-n-segments", "relax-n-segments"])
+def test_size_flags_are_capped_before_any_work(argv, flag, capsys, tmp_path, monkeypatch):
+    # each size sets an n x n table; refused before a file is read or a wire is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused size reached the command")
+
+    monkeypatch.chdir(tmp_path)
+    for name in ("load_curve", "load_camera", "load_episodes"):
+        monkeypatch.setattr(swio, name, refuse)
+    monkeypatch.setattr(rod, "synth_guidewire", refuse)
+    monkeypatch.setattr(rod, "rest_curvature_field", refuse)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: {flag} must be <= {MAX_SIZE}"
+    assert not (tmp_path / "w").exists()
+
+
+def test_size_cap_admits_its_bound():
+    for argv in (["evaluate", "p.json", "t.json", "--samples", str(MAX_SIZE)],
+                 ["synth", "--out", "w", "--annotation-points", str(MAX_SIZE),
+                  "--n-segments", str(MAX_SIZE)]):
+        _validate(build_parser().parse_args(argv))  # no ParseError
+    assert MAX_SIZE > 257  # the largest size the tests and the bench use
 
 
 @pytest.mark.parametrize("override,message", [
@@ -760,6 +840,13 @@ BAD_NUMERIC_FIELDS = {
     "knots_string": ("truth_curve.json", _mutate("knots", "abc")),
     "knots_string_entry": ("truth_curve.json", lambda obj: obj["knots"].__setitem__(0, "0")),
     "degree_bool": ("truth_curve.json", _mutate("degree", True)),
+    "degree_negative": ("truth_curve.json", _mutate("degree", -1)),
+    "knots_decreasing": ("truth_curve.json", lambda obj: obj["knots"].reverse()),
+    "knots_too_short": ("truth_curve.json",
+                        lambda obj: obj.update(knots=[0.0] * 3 + [0.5] + [1.0] * 3,
+                                               control_points=obj["control_points"][:3])),
+    "knots_all_equal": ("truth_curve.json", lambda obj: obj.update(knots=[0.5] * len(obj["knots"]))),
+    "knots_count_mismatch": ("truth_curve.json", lambda obj: obj["knots"].pop()),
     "control_points_nan": ("truth_curve.json",
                            lambda obj: obj["control_points"][0].__setitem__(0, float("nan"))),
     "control_points_flat": ("truth_curve.json", _mutate("control_points", [1.0, 2.0, 3.0])),

@@ -23,7 +23,7 @@ from stereowire.stereo import (
 )
 
 from conftest import random_rotation, random_stereo_rig
-from test_bspline import random_repeated_kv
+from test_bspline import n_ctrl, random_repeated_knots
 
 
 def helix_points(turns=0.75, n=200):
@@ -69,21 +69,34 @@ def test_pchip_monotone_on_random_data(rng):
         assert np.abs(f(x) - y).max() < 1e-12  # interpolates the pairs
 
 
-def test_pchip_interior_slopes_match_loop_oracle(rng):
-    # the Fritsch-Carlson weighted harmonic mean, one interior knot at a time
+def end_slope_oracle(h0, h1, del0, del1):
+    """Moler's pchip end rule: the one-sided three-point slope, 0 where its sign
+    is not del0's, 3 del0 where the secants' signs differ and it passes 3 |del0|."""
+    d = ((2 * h0 + h1) * del0 - h0 * del1) / (h0 + h1)
+    if np.sign(d) != np.sign(del0):
+        return 0.0
+    if np.sign(del0) != np.sign(del1) and abs(d) > abs(3 * del0):
+        return 3 * del0
+    return d
+
+
+def test_pchip_slopes_match_loop_oracle(rng):
+    # the end rule at both ends, and the Fritsch-Carlson weighted harmonic
+    # mean one interior knot at a time
     for _ in range(200):
         n = int(rng.integers(3, 40))
         x = np.cumsum(rng.uniform(0.01, 2.0, n))
         y = np.cumsum(rng.exponential(1.0, n) * (rng.random(n) < 0.6))  # flat runs
         h, delta = np.diff(x), np.diff(y) / np.diff(x)
-        expect = []
+        expect = [end_slope_oracle(h[0], h[1], delta[0], delta[1])]
         for k in range(1, n - 1):
             if delta[k - 1] == 0.0 or delta[k] == 0.0:
                 expect.append(0.0)
             else:
                 w1, w2 = 2 * h[k] + h[k - 1], h[k] + 2 * h[k - 1]
                 expect.append((w1 + w2) / (w1 / delta[k - 1] + w2 / delta[k]))
-        assert pchip_fit(np.column_stack([x, y])).d[1:-1].tobytes() == np.array(expect).tobytes()
+        expect.append(end_slope_oracle(h[-1], h[-2], delta[-1], delta[-2]))
+        assert pchip_fit(np.column_stack([x, y])).d.tobytes() == np.array(expect).tobytes()
 
 
 def test_pchip_rejects_non_monotone():
@@ -257,8 +270,8 @@ def control_window_roots(curve, line):
     """intersect_epiline under the de Boor control-window cull: a span is solved
     unless the line values of its p+1 control points all lie beyond ON_LINE_PX
     on one side."""
-    p, knots = curve.degree, curve.knots.knots
-    first = np.flatnonzero(np.diff(knots)[p:curve.knots.m - p] > 0)
+    p, knots = curve.degree, curve.knots
+    first = np.flatnonzero(np.diff(knots)[p:knots.size - 1 - p] > 0)
     lo, hi, _, coef, _ = curve.power_spans
     values = curve.control_points @ line[:2] + line[2]
     window = values[first[:, None] + np.arange(p + 1)]
@@ -278,11 +291,11 @@ def test_bezier_cull_keeps_every_control_window_root():
     total = 0
     for p in (1, 2, 3, 5):
         for _ in range(20):
-            kv = random_repeated_kv(rng, p)
-            curve = BSplineCurve(rng.normal(size=(kv.n_basis, 2)) * 50 + 500, kv)
+            knots = random_repeated_knots(rng, p)
+            curve = BSplineCurve(rng.normal(size=(n_ctrl(knots, p), 2)) * 50 + 500, knots, p)
             lo, hi = curve.domain
             on_curve = eval_curve_many(curve, [lo, hi, *rng.uniform(lo, hi, 3)])
-            near = curve.control_points[rng.integers(kv.n_basis, size=3)]
+            near = curve.control_points[rng.integers(n_ctrl(knots, p), size=3)]
             off_curve = near + rng.normal(0.0, 20.0, (3, 2))
             for through in (*on_curve, *off_curve):
                 line = line_through(through, rng.uniform(0.0, np.pi))
@@ -422,6 +435,25 @@ def test_batched_epilines_round_as_the_per_sample_ones(tmp_path):
     assert n == 640
 
 
+@pytest.mark.parametrize("scale_a, scale_b", [
+    (1e-9, 1.0), (1e-6, 1.0), (1e9, 1.0), (1e300, 1.0), (1e200, 1e200), (2.0 ** -40, 2.0 ** 70),
+], ids=["a-1e-9", "a-1e-6", "a-1e9", "a-1e300", "both-1e200", "powers-of-two"])
+@pytest.mark.filterwarnings("error")
+def test_reconstruction_does_not_depend_on_the_scale_of_P(tmp_path, scale_a, scale_b):
+    # P * s is the same projective camera; a power of two leaves every bit alone
+    cam_a, cam_b, curve_a, curve_b = synth_frame(tmp_path, 3, 1.0)
+    want = reconstruct_curve(cam_a, cam_b, curve_a, curve_b)
+    scaled = (ProjectiveCamera(cam_a.P * scale_a, cam_a.image_size),
+              ProjectiveCamera(cam_b.P * scale_b, cam_b.image_size))
+    got = reconstruct_curve(*scaled, curve_a, curve_b)
+    assert got.accepted
+    if np.frexp([scale_a, scale_b])[0].tolist() == [0.5, 0.5]:
+        assert got.curve.control_points.tobytes() == want.curve.control_points.tobytes()
+        assert got.mean_reproj_px == want.mean_reproj_px
+    assert np.abs(got.curve.control_points - want.curve.control_points).max() < 1e-10
+    assert np.abs(got.curve.knots - want.curve.knots).max() < 1e-12
+
+
 def test_reconstruction_calls_no_eigenvalue_solver(tmp_path, monkeypatch):
     frame = synth_frame(tmp_path, 3, 1.0)
     want = reconstruct_curve(*frame)
@@ -432,7 +464,7 @@ def test_reconstruction_calls_no_eigenvalue_solver(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     got = reconstruct_curve(*frame)
     assert got.curve.control_points.tobytes() == want.curve.control_points.tobytes()
-    assert got.curve.knots.knots.tobytes() == want.curve.knots.knots.tobytes()
+    assert got.curve.knots.tobytes() == want.curve.knots.tobytes()
     assert got.per_point_reproj_px.tobytes() == want.per_point_reproj_px.tobytes()
     assert (got.mean_reproj_px, got.accepted) == (want.mean_reproj_px, want.accepted)
 
@@ -636,7 +668,7 @@ def test_similarity_of_world_and_cameras_carries_the_reconstruction(tmp_path, se
         moved = [ProjectiveCamera(cam.P @ np.linalg.inv(T), cam.image_size)
                  for cam in (cam_a, cam_b)]
         got = reconstruct_curve(*moved, curve_a, curve_b).curve
-        assert np.abs(got.knots.knots - base.knots.knots).max() < 1e-10
+        assert np.abs(got.knots - base.knots).max() < 1e-10
         want = base.control_points @ T[:3, :3].T + T[:3, 3]
         assert np.abs(got.control_points - want).max() < 1e-9 * scale
 
@@ -706,8 +738,8 @@ def test_point_to_curve_distance_matches_dense_oracle():
         # past an end along its tangent the end point is the nearest point
         assert np.abs(got[8:10] - np.linalg.norm(beyond_ends - ends, axis=1)).max() < 1e-9
     for p in (0, 1, 2, 3, 5):
-        kv = random_repeated_kv(rng, p)
-        spline = BSplineCurve(rng.normal(size=(kv.n_basis, 2)) * 50, kv)
+        knots = random_repeated_knots(rng, p)
+        spline = BSplineCurve(rng.normal(size=(n_ctrl(knots, p), 2)) * 50, knots, p)
         queries = rng.normal(size=(12, 2)) * 60
         got = point_to_curve_distances(spline, queries, spline.domain[0])
         assert np.abs(got - dense_distance_oracle(spline, queries)).max() < 1e-6, p
@@ -719,8 +751,8 @@ def test_any_curve_parameter_bounds_the_residual_search():
     rng = np.random.default_rng(12)
     splines = [fit_curve(np.cumsum(rng.normal(size=(20, 2)), axis=0) * 20)]
     for p in (1, 2, 3, 5):
-        kv = random_repeated_kv(rng, p)
-        splines.append(BSplineCurve(rng.normal(size=(kv.n_basis, 2)) * 50, kv))
+        knots = random_repeated_knots(rng, p)
+        splines.append(BSplineCurve(rng.normal(size=(n_ctrl(knots, p), 2)) * 50, knots, p))
     for spline in splines:
         lo, hi = spline.domain
         queries = rng.normal(size=(12, 2)) * 60 + spline.control_points.mean(axis=0)
