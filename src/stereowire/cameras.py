@@ -103,16 +103,17 @@ def normalize_fundamental(F: np.ndarray) -> np.ndarray:
 
 
 def project_many(cam: ProjectiveCamera, X: np.ndarray) -> np.ndarray:
-    """Project an (n, 3) array of points (mm) to (n, 2) px.
+    """Project an (n, 3) array of points (mm) to (n, 2) px through cam.unit_P,
+    whose power-of-two scale cancels exactly in u/w, so P may come at any scale.
 
-    Raises ValueError for a non-finite point and DegenerateProjection when
-    a homogeneous depth |w| <= 1e-12 (point on the principal plane).
+    Raises ValueError for a non-finite point and DegenerateProjection when a
+    homogeneous depth |w| through unit_P is <= 1e-12 (point on the principal plane).
     """
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("points must be finite")
     Xh = np.hstack([X, np.ones((X.shape[0], 1))])
-    uvw = Xh @ cam.P.T
+    uvw = Xh @ cam.unit_P.T
     w = uvw[:, 2]
     if np.any(np.abs(w) <= 1e-12):
         raise DegenerateProjection("point lies on the principal plane")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io, rod
 from .bspline import fit_curve, sample_uniform
-from .cameras import ProjectiveCamera, project_many
+from .cameras import project_many
 from .errors import ParseError, SchemaMismatch, StereowireError
 from .metrics import curve_metrics, episode_metrics
 from .rig import default_rig
@@ -26,16 +26,6 @@ from .stereo import reconstruct_curve
 
 def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
-
-
-def _rounded_camera(cam: ProjectiveCamera) -> ProjectiveCamera:
-    """Camera with P rounded exactly as it will be serialized.
-
-    Projecting through the rounded matrix keeps the written cameras,
-    annotations, and truth mutually consistent at full precision.
-    """
-    P = np.vectorize(io.format_float)(cam.P)
-    return ProjectiveCamera(P, cam.image_size)
 
 
 _ROT_Z_TO_Y = np.array([
@@ -76,7 +66,7 @@ def cmd_synth(args) -> int:
         cam_a = io.load_camera(args.camera_a)
         cam_b = io.load_camera(args.camera_b)
     else:
-        cam_a, cam_b = (_rounded_camera(c) for c in default_rig())
+        cam_a, cam_b = default_rig()
 
     wire = rod.synth_guidewire(args.n_segments, args.segment_length, args.tip_angle, args.seed)
     wire = wire @ _ROT_Z_TO_Y.T

@@ -8,8 +8,11 @@ gives a 300 mm baseline. World units are mm.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from . import io
 from .cameras import ProjectiveCamera
 
 FOCAL_PX = 1500.0
@@ -33,10 +36,13 @@ def _camera_at_yaw(alpha: float, focal: float, image_size: tuple[int, int],
         [0.0, focal, image_size[1] / 2.0],
         [0.0, 0.0, 1.0],
     ])
-    return ProjectiveCamera(K @ np.column_stack([R, t]), image_size)
+    P = K @ np.column_stack([R, t])
+    # rounded as its camera file holds it: what is projected through it is what is written
+    return ProjectiveCamera([[io.format_float(v) for v in row] for row in P.tolist()], image_size)
 
 
+@functools.cache  # one pair per process: the cameras are frozen and their arrays read-only
 def default_rig() -> tuple[ProjectiveCamera, ProjectiveCamera]:
-    """Cameras A and B of the built-in stereo rig."""
+    """Cameras A and B of the built-in stereo rig, bit for bit as synth writes them."""
     return tuple(_camera_at_yaw(yaw, FOCAL_PX, IMAGE_SIZE, RANGE_MM)
                  for yaw in (-HALF_VERGENCE_RAD, HALF_VERGENCE_RAD))

@@ -52,6 +52,17 @@ def test_project_matches_homogeneous_oracle(rng):
         assert np.allclose(project_many(cam, [X])[0], uvw[:2] / uvw[2], atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_project_keeps_every_bit_under_a_power_of_two_scale_of_P(rng, k):
+    # P * 2^k is the same camera with the same mantissas; at 2^-1000 the raw
+    # P's depths would fall under the principal-plane bound
+    for _ in range(20):
+        cam = random_camera(rng)
+        X = rng.uniform(-200, 200, (50, 3))
+        scaled = ProjectiveCamera(np.ldexp(cam.P, k), cam.image_size)
+        assert project_many(scaled, X).tobytes() == project_many(cam, X).tobytes()
+
+
 def test_project_principal_plane_raises():
     cam = canonical()
     with pytest.raises(DegenerateProjection):

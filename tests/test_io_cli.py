@@ -28,7 +28,7 @@ def test_camera_round_trip(tmp_path):
     path = tmp_path / "cam.json"
     swio.save_camera(cam, path)
     back = swio.load_camera(path)
-    assert np.allclose(back.P, cam.P, rtol=1e-8)
+    assert np.array_equal(back.P, cam.P)
     assert back.image_size == cam.image_size
 
 
@@ -227,6 +227,15 @@ def synth_dir(tmp_path, seed=0, noise=0.0, extra=()):
     return out
 
 
+def test_default_rig_is_built_once_as_synth_writes_it(tmp_path):
+    assert default_rig() is default_rig()
+    out = synth_dir(tmp_path)
+    for cam, view in zip(default_rig(), "ab"):
+        written = swio.load_camera(out / f"camera_{view}.json")
+        assert written.P.tobytes() == cam.P.tobytes()
+        assert written.image_size == cam.image_size
+
+
 def test_synth_writes_all_artifacts(tmp_path):
     out = synth_dir(tmp_path)
     for name in ("camera_a.json", "camera_b.json", "truth_curve.json",
@@ -333,8 +342,8 @@ def test_reconstruct_refuses_unpaired_annotations(tmp_path, capsys, edit, messag
     assert not report.exists()
 
 
-@pytest.mark.parametrize("scale_a, scale_b", [(1e300, 1.0), (1e200, 1e200)],
-                         ids=["a-1e300", "both-1e200"])
+@pytest.mark.parametrize("scale_a, scale_b", [(1e300, 1.0), (1e-300, 1.0), (1e200, 1e200)],
+                         ids=["a-1e300", "a-1e-300", "both-1e200"])
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_reconstruct_with_rescaled_cameras_accepts_the_frame(tmp_path, capsys, scale_a, scale_b):
     # P * s is the same projective camera: the frame is accepted, with the

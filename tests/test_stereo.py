@@ -436,8 +436,10 @@ def test_batched_epilines_round_as_the_per_sample_ones(tmp_path):
 
 
 @pytest.mark.parametrize("scale_a, scale_b", [
-    (1e-9, 1.0), (1e-6, 1.0), (1e9, 1.0), (1e300, 1.0), (1e200, 1e200), (2.0 ** -40, 2.0 ** 70),
-], ids=["a-1e-9", "a-1e-6", "a-1e9", "a-1e300", "both-1e200", "powers-of-two"])
+    (1e-9, 1.0), (1e-6, 1.0), (1e9, 1.0), (1e300, 1.0), (1e-300, 1.0), (1e200, 1e200),
+    (1e-200, 1e-200), (2.0 ** -40, 2.0 ** 70),
+], ids=["a-1e-9", "a-1e-6", "a-1e9", "a-1e300", "a-1e-300", "both-1e200", "both-1e-200",
+        "powers-of-two"])
 @pytest.mark.filterwarnings("error")
 def test_reconstruction_does_not_depend_on_the_scale_of_P(tmp_path, scale_a, scale_b):
     # P * s is the same projective camera; a power of two leaves every bit alone
