@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import BSplineCurve, sample_uniform
-from .errors import DegenerateCurve
+from .errors import DegenerateCurve, StereowireError
 
 FORCE_LIMIT_N = 2.0
 GOAL_RADIUS_MM = 8.0
@@ -146,8 +146,6 @@ def force_magnitude(f):
 def path_length(tip_positions: np.ndarray) -> float:
     """Sum of Euclidean distances between consecutive tip positions."""
     tips = np.atleast_2d(np.asarray(tip_positions, dtype=float))
-    if len(tips) < 2:
-        return 0.0
     return float(np.linalg.norm(np.diff(tips, axis=0), axis=1).sum())
 
 
@@ -158,30 +156,34 @@ def episode_metrics(episodes: list[Episode]) -> EpisodeMetrics:
     successful path length observed in the batch; with no successful
     episode SPL is reported as 0 with any_success = False. Safety is the
     fraction of steps whose force magnitude stays below 2 N (an episode
-    with no force samples counts as fully safe).
+    with no force samples counts as fully safe). Raises StereowireError
+    when a path length, force or the SPL is not finite (a huge tip or force).
     """
     if not episodes:
         raise ValueError("need at least one episode")
-    lengths = np.array([path_length(ep.tip_positions) for ep in episodes])
-    # one row of magnitudes per episode, zero past its last force sample
-    counts = np.array([len(ep.forces) for ep in episodes])
-    held = np.arange(counts.max()) < counts[:, None]
-    mags = np.zeros(held.shape)
-    mags[held] = force_magnitude(np.concatenate([ep.forces for ep in episodes]))
-    per = np.maximum(counts, 1)
-    safety = 1.0 - np.count_nonzero(mags >= FORCE_LIMIT_N, axis=1) / per
-    f_max = mags.max(axis=1, initial=0.0)
-    f_mean = mags.sum(axis=1, where=held) / per
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        lengths = np.array([path_length(ep.tip_positions) for ep in episodes])
+        # one row of magnitudes per episode, zero past its last force sample
+        counts = np.array([len(ep.forces) for ep in episodes])
+        held = np.arange(counts.max()) < counts[:, None]
+        mags = np.zeros(held.shape)
+        mags[held] = force_magnitude(np.concatenate([ep.forces for ep in episodes]))
+        per = np.maximum(counts, 1)
+        safety = 1.0 - np.count_nonzero(mags >= FORCE_LIMIT_N, axis=1) / per
+        f_max = mags.max(axis=1, initial=0.0)
+        f_mean = mags.sum(axis=1, where=held) / per
 
-    success = np.array([ep.success for ep in episodes], dtype=bool)
-    any_success = bool(success.any())
-    if any_success:
-        l_opt = float(lengths[success].min())
-        denom = np.maximum(lengths, l_opt)
-        # a zero-length optimum (stationary success) counts as a perfect ratio
-        ratios = np.divide(l_opt, denom, out=np.ones_like(denom), where=denom > 0)
-        spl = float(np.mean(np.where(success, ratios, 0.0)))
-    else:
-        spl = 0.0
+        success = np.array([ep.success for ep in episodes], dtype=bool)
+        any_success = bool(success.any())
+        if any_success:
+            l_opt = float(lengths[success].min())
+            denom = np.maximum(lengths, l_opt)
+            # a zero-length optimum (stationary success) counts as a perfect ratio
+            ratios = np.divide(l_opt, denom, out=np.ones_like(denom), where=denom > 0)
+            spl = float(np.mean(np.where(success, ratios, 0.0)))
+        else:
+            spl = 0.0
+    if not np.all(np.isfinite([*lengths, *f_max, *f_mean, spl])):
+        raise StereowireError("episode path lengths, forces or SPL are not finite")
     return EpisodeMetrics(path_length=lengths, safety=safety, f_max=f_max,
                           f_mean=f_mean, spl=spl, any_success=any_success)

@@ -151,6 +151,7 @@ class RelaxResult:
     iterations: int
     grad_inf: float
     tip_residual: float
+    merits: tuple  # the pinned solve's merit at the start and after each accepted step
 
 
 def _orientations_from_joints(q0: np.ndarray, kappa: np.ndarray) -> np.ndarray:
@@ -245,14 +246,14 @@ def _check_reachable(rod: RodState, target: np.ndarray) -> None:
                                     f"the tip reaches {bound} {reach:.6g} mm")
 
 
-def relax(rod: RodState, tip_target=None, energy_trace: list | None = None) -> RelaxResult:
+def relax(rod: RodState, tip_target=None) -> RelaxResult:
     """Minimize bending energy over the joint rotation vectors, base pose fixed.
 
     The stiffness E scales the energy, not its minimiser: the rod is relaxed
     at unit stiffness, and E only scales the reported energy and grad_inf.
-    A free rod relaxes in closed form to kappa = omega (0 iterations). A
-    pinned tip, c = tip - target = 0, is met from joint_curvatures(rod) by
-    KKT steps of the energy (Hessian I) under the linearised pin, each a
+    A free rod relaxes in closed form to kappa = omega (0 iterations, energy
+    0). A pinned tip, c = tip - target = 0, is met from joint_curvatures(rod)
+    by KKT steps of the energy (Hessian I) under the linearised pin, each a
     3x3 solve (Nocedal & Wright, ch. 18), halved until the merit
     energy / rho + |c| falls by an Armijo fraction of its slope; rho grows
     as far as a step needs it to descend (N&W 18.36). A step too small for
@@ -263,19 +264,17 @@ def relax(rod: RodState, tip_target=None, energy_trace: list | None = None) -> R
     steps. Raises UnreachableConstraint for a pin outside the reachable set,
     and RodOutOfRange when J J^T, the start merit or the energy overflows.
 
-    energy_trace, when given, receives one list per call: the merit at the
-    start and after every accepted step (free relax: the energy before and
-    after). The merit only falls as rho grows, so the list never rises by
-    more than the tip's rounding.
+    energy is E * (1/2)|kappa - omega|^2 at the joints the solve ends on.
+    merits holds the merit at the start and after every accepted step, and
+    is empty for a free rod. The merit only falls as rho grows, so merits
+    never rise by more than the tip's rounding.
     """
     L = rod.segment_length
     q0 = rod.orientations[0]
     omega = rod.rest_curvature
-    trace: list = []
-    if energy_trace is not None:
-        energy_trace.append(trace)
+    merits: list = []
 
-    iters, gi, resid, tip_tol = 0, 0.0, 0.0, GRAD_TOL
+    f, iters, gi, resid, tip_tol = 0.0, 0, 0.0, 0.0, GRAD_TOL
     kappa = omega
     if tip_target is not None:
         target = np.asarray(tip_target, dtype=float).reshape(3)
@@ -294,7 +293,7 @@ def relax(rod: RodState, tip_target=None, energy_trace: list | None = None) -> R
             raise RodOutOfRange("the rest curvature puts the pinned relax's energy scale "
                                 "out of float range")
         while True:
-            f, c, jac, d = state
+            f, c, jac, d = state  # f is the unit-stiffness energy at kappa
             resid = float(np.linalg.norm(c))
             gi = float(np.abs(d).max())
             # the merit's slope along d is gd / rho - drop, where drop is the
@@ -304,7 +303,7 @@ def relax(rod: RodState, tip_target=None, energy_trace: list | None = None) -> R
             if drop > 0:
                 rho = max(rho, (gd + 0.5 * float(np.sum(d * d))) / (0.5 * drop))
             merit = f / rho + resid
-            trace.append(merit)
+            merits.append(merit)
             if (gi < GRAD_TOL and resid < tip_tol) or iters == MAX_ITER:
                 break
             slope = min(0.0, gd / rho - drop)
@@ -322,15 +321,13 @@ def relax(rod: RodState, tip_target=None, energy_trace: list | None = None) -> R
             iters += 1
             kappa = trial
 
-    q = _orientations_from_joints(q0, kappa)
-    out = RodState(L, q, rod.base, rod.stiffness, omega)
-    energy = bending_energy(out)
+    energy = rod.stiffness * f
     if not math.isfinite(energy):
         raise RodOutOfRange(f"stiffness {rod.stiffness:g} puts the energy out of float range")
-    if tip_target is None and energy_trace is not None:
-        trace += [bending_energy(rod), energy]
+    out = RodState(L, _orientations_from_joints(q0, kappa), rod.base, rod.stiffness, omega)
     return RelaxResult(rod=out, energy=energy, converged=gi < GRAD_TOL and resid < tip_tol,
-                       iterations=iters, grad_inf=rod.stiffness * gi, tip_residual=resid)
+                       iterations=iters, grad_inf=rod.stiffness * gi, tip_residual=resid,
+                       merits=tuple(merits))
 
 
 def rest_curvature_field(n_segments: int, tip_angle: float, seed: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import stereowire.io as swio
-from stereowire.bspline import eval_curve_many, fit_curve, parameterize_arclength
+from stereowire.bspline import eval_curve_many, fit_curve, parameterize_arclength, sample_uniform
 from stereowire import rod
 from stereowire.cli import MAX_SIZE, _validate, build_parser, main
 from stereowire.errors import ParseError, SchemaMismatch, StereowireError
@@ -510,6 +510,18 @@ def test_readme_reconstruct_and_evaluate_flow_runs_as_written(tmp_path, capsys, 
     assert all(math.isfinite(float(v)) for v in row.split(",")) and row.count(",") == 3
 
 
+def test_readme_library_example_runs_as_written(capsys):
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    scope: dict = {}
+    exec(block, scope)
+    accepted, _ = capsys.readouterr().out.splitlines()[0].split()
+    assert accepted == "True"
+    # the README's wire as synth_guidewire returns it, base first: its tip is the last point
+    wire = synth_guidewire(n_segments=50, segment_length=2.0, tip_angle=1.0, seed=7)
+    tip = wire[-1] - wire.mean(axis=0)
+    assert np.abs(sample_uniform(scope["truth"], 64)[1][0] - tip).max() < 1e-9
+
+
 def test_evaluate_episode_single_step(tmp_path, capsys):
     ep = Episode(tip_positions=np.array([[1.0, 2.0, 3.0]]), forces=np.zeros((0, 3)),
                  goal=np.zeros(3), success=True)
@@ -529,11 +541,17 @@ def test_evaluate_episode_single_step(tmp_path, capsys):
     (["c.json", "c.json", "c.json"], "evaluate takes PRED TRUTH curve or report files"),
     (["yes.json"], "success must be a boolean"),
     (["empty.json"], "empty episode list"),
-], ids=["three-files", "success-not-boolean", "empty-episode-list"])
+    (["far.json"], "not finite"),  # the path length overflows
+    (["strong.json"], "not finite"),  # the force magnitude overflows
+], ids=["three-files", "success-not-boolean", "empty-episode-list", "huge-path", "huge-force"])
 def test_evaluate_refusals_name_the_cause(tmp_path, capsys, monkeypatch, files, message):
     monkeypatch.chdir(tmp_path)
     ep = {"tip": [[0.0, 0.0, 0.0]], "forces": [], "goal": [1.0, 0.0, 0.0], "success": "yes"}
     Path("yes.json").write_text(json.dumps([ep]))
+    far = {**ep, "tip": [[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]], "success": True}
+    Path("far.json").write_text(json.dumps([far]))
+    strong = {**far, "tip": np.eye(2, 3).tolist(), "forces": [[1e200, 1e200, 0.0], [0.0] * 3]}
+    Path("strong.json").write_text(json.dumps([strong]))
     Path("empty.json").write_text("[]")
     swio.save_curve(fit_curve(np.eye(4, 3)), "c.json")
     assert main(["evaluate", *files]) == 1
@@ -569,6 +587,15 @@ def test_relax_command_with_tip_target(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "tip_residual_mm=" in out
+
+
+def test_relax_command_takes_a_negative_pin_in_the_equals_form(tmp_path, capsys):
+    # argparse reads a separate '-1.0,...' as a flag; '--tip-target=' carries it
+    rc = main(["relax", "--out", str(tmp_path / "pinned.json"), "--n-segments", "8",
+               "--segment-length", "1.0", "--tip-target=-1.0,0.0,6.0"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "converged=True" in out and float(out.split("tip_residual_mm=")[1]) < 1e-9
 
 
 @pytest.mark.parametrize("target", ["nan,0,0", "0,inf,0", "0,0,-inf"])

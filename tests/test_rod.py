@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -236,11 +238,24 @@ def test_relax_unreachable_tip():
 def test_relax_energy_monotone_per_accepted_step(rng, pinned):
     rod = random_rod(rng)
     target = rod.base + np.array([2.0, 1.0, rod.segment_length * 5]) if pinned else None
-    trace: list = []
-    relax(rod, tip_target=target, energy_trace=trace)
-    assert len(trace) == 1 and len(trace[0]) >= 2
-    for stage in trace:
-        assert all(b <= a + 1e-12 for a, b in zip(stage, stage[1:]))
+    merits = relax(rod, tip_target=target).merits
+    assert len(merits) >= 2 if pinned else merits == ()
+    assert all(b <= a + 1e-12 for a, b in zip(merits, merits[1:]))
+
+
+@pytest.mark.parametrize("n", [30, 4096])
+@pytest.mark.parametrize("E", [1.0, 3.7])
+def test_relax_free_rod_reports_zero_energy(n, E):
+    # the README rod without its pin: it takes its rest curvature exactly
+    res = relax(straight_rod(n, 2.0, E, rest_curvature_field(n, 0.8, 4)))
+    assert res.energy == 0.0
+
+
+def test_relax_pinned_energy_is_the_energy_of_the_returned_rod(rng):
+    rod = random_rod(rng)
+    res = relax(rod, tip_target=rod.base + np.array([2.0, 1.0, rod.segment_length * 5]))
+    assert res.converged and res.energy > 0
+    assert math.isclose(res.energy, bending_energy(res.rod), rel_tol=1e-12)
 
 
 def test_relax_preserves_spacing(rng):
