@@ -83,6 +83,9 @@ def cmd_synth(args) -> int:
         px = project_many(cam, samples)
         if args.noise_px > 0:
             px = px + rng.normal(0.0, args.noise_px, px.shape)
+        if not np.all(np.isfinite(px)):
+            raise ParseError(f"view {name}'s annotation pixels are not finite "
+                             f"(--noise-px {_fmt(args.noise_px)})")
         annotations[name] = px
 
     out = Path(args.out)
@@ -154,7 +157,7 @@ def cmd_relax(args) -> int:
     wire_rod = rod.straight_rod(args.n_segments, args.segment_length,
                                 args.stiffness, omega)
     result = rod.relax(wire_rod, tip_target=tip_target)
-    curve = fit_curve(result.rod.centerline())
+    curve = fit_curve(result.rod.centerline()[::-1])  # store tip-first, as synth does
     io.save_curve(curve, args.out)
     print(f"energy={_fmt(result.energy)} converged={result.converged} "
           f"grad_inf={_fmt(result.grad_inf)} tip_residual_mm={_fmt(result.tip_residual)}")

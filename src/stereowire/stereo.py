@@ -2,7 +2,7 @@
 
 The pipeline samples view A's curve uniformly, intersects each point's
 epiline with view B's curve exactly (per-span polynomial roots), keeps a
-monotone parameter correspondence (filled through missing samples by a
+monotone parameter correspondence (filled through its gap samples by a
 monotone cubic Hermite interpolant), triangulates the matched pairs, fits
 a 3D cubic through them, and gates the result on the mean reprojection
 error (25 px over both views pooled). The reprojection residual is a
@@ -207,13 +207,11 @@ def intersect_epiline(curve_b: BSplineCurve, line) -> list[float]:
 # ---------------------------------------------------------------------------
 # curve matching
 
-MISSING = None
-
-
 @dataclass(frozen=True, eq=False)
 class ParamMatch:
     """Sampled u_A -> u_B correspondences, view A's points C_A(u_A) at the samples,
-    and the correspondences' monotone interpolant."""
+    and the correspondences' monotone interpolant. A u_B of None marks a gap: a
+    sample with no admissible intersection, which the interpolant fills."""
 
     samples: list[tuple[float, float | None]]
     points: np.ndarray
@@ -226,16 +224,15 @@ def match_curves(curve_a: BSplineCurve, curve_b: BSplineCurve,
 
     Uniformly samples curve A; for each sample the epiline is intersected
     with curve B and the smallest intersection not violating monotonicity
-    (within 1e-12 of the last kept one, clipped up to it) is kept. Samples
-    with no admissible intersection are MISSING and filled by the monotone
-    interpolant. Raises NoMatches with fewer than two valid pairs.
+    (within 1e-12 of the last kept one, clipped up to it) is kept. A sample
+    with no admissible intersection gets u_B = None, a gap the monotone
+    interpolant fills. Raises NoMatches with fewer than two valid pairs.
     """
     if n_samples < 4:
         raise ValueError("n_samples must be >= 4")
     u_as, pts_a = sample_uniform(curve_a, n_samples)
 
     samples: list[tuple[float, float | None]] = []
-    accepted: list[tuple[float, float]] = []
     last_ub = -math.inf
     for u_a, x_a in zip(u_as.tolist(), pts_a):
         try:
@@ -243,16 +240,14 @@ def match_curves(curve_a: BSplineCurve, curve_b: BSplineCurve,
         except ZeroLine:  # x_a is view B's epipole
             roots = []
         admissible = [r for r in roots if r >= last_ub - 1e-12]
-        if not admissible:
-            samples.append((u_a, MISSING))
-            continue
-        last_ub = max(admissible[0], last_ub)  # roots increase; clip jitter below the floor
-        samples.append((u_a, last_ub))
-        accepted.append((u_a, last_ub))
+        if admissible:
+            last_ub = max(admissible[0], last_ub)  # roots increase; clip jitter below the floor
+        samples.append((u_a, last_ub if admissible else None))
 
-    if len(accepted) < 2:
-        raise NoMatches(f"only {len(accepted)} epipolar correspondences found")
-    interp = pchip_fit(np.array(accepted))
+    matched = [pair for pair in samples if pair[1] is not None]
+    if len(matched) < 2:
+        raise NoMatches(f"only {len(matched)} epipolar correspondences found")
+    interp = pchip_fit(np.array(matched))
     return ParamMatch(samples=samples, points=pts_a, interpolant=interp)
 
 

@@ -645,6 +645,17 @@ def test_relax_command_prints_the_readme_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == line + "\n"
 
 
+def test_relax_curve_is_written_tip_first(tmp_path, capsys, monkeypatch):
+    # as synth stores its wire: sample 0 at the pin, the last sample at the base
+    argv, _ = readme_relax_example()
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "c.json"]) == 0
+    pin = np.array([float(v) for v in argv[argv.index("--tip-target") + 1].split(",")])
+    _, ends = sample_uniform(swio.load_curve(tmp_path / "c.json"), 2)
+    assert np.max(np.abs(ends[0] - pin)) <= 1e-9
+    assert np.max(np.abs(ends[1] - straight_rod(30, 2.0).centerline()[0])) <= 1e-9
+
+
 @pytest.mark.filterwarnings("error")
 def test_relax_curve_does_not_depend_on_stiffness(tmp_path, capsys, monkeypatch):
     # the stiffness scales the bending energy, not its minimiser under the pin
@@ -693,6 +704,7 @@ def test_flag_errors_print_one_line(argv, capsys, tmp_path, monkeypatch):
     assert main(argv) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "w").exists()  # a refused synth creates no --out directory
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,6 @@ from stereowire.cli import main
 from stereowire.errors import CoincidentCenters, NoMatches, NonMonotoneInput, PointAtInfinity
 from stereowire.rig import default_rig
 from stereowire.stereo import (
-    MISSING,
     ON_LINE_PX,
     _real_roots,
     intersect_epiline,
@@ -660,7 +659,7 @@ def test_similarity_of_world_and_cameras_carries_the_reconstruction(tmp_path, se
     curve_a, curve_b = (fit_curve(swio.load_annotation(out / f"annotation_{v}.json")[2])
                         for v in "ab")
     match = match_curves(curve_a, curve_b, fundamental_matrix(cam_a, cam_b))
-    assert all(u_b is not MISSING for _, u_b in match.samples)
+    assert all(u_b is not None for _, u_b in match.samples)
     base = reconstruct_curve(cam_a, cam_b, curve_a, curve_b).curve
     rng = np.random.default_rng(seed)
     for scale in (0.5, 2.0):
