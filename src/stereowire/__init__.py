@@ -39,7 +39,6 @@ from .rod import (
     RelaxResult,
     RodState,
     bending_energy,
-    relative_curvature,
     relax,
     synth_guidewire,
 )

@@ -81,7 +81,7 @@ class UnreachableConstraint(StereowireError):
 
 class CurvatureOverflow(StereowireError, ValueError):
     """Rest curvature whose squared joint bends overflow a float, or whose
-    joint bend reaches pi, beyond the log map's range."""
+    joint bend reaches pi, which folds a segment back onto the one before it."""
 
 
 class RodOutOfRange(StereowireError, ValueError):

@@ -1,12 +1,13 @@
 """Discrete rigid-segment rod model for synthesizing plausible guidewires.
 
-A rod is a chain of equal-length rigid segments; segment k points along
-its unit quaternion's rotation of +z. Joint curvature is the rotation
-vector of q_i^-1 q_(i+1), bending energy is a quadratic penalty on its
-deviation from the per-joint rest curvature, and relaxation minimises it
-over the joint rotation vectors with the base pose fixed: in closed form
-for a free rod, and by KKT steps on the three rows of an optional tip pin,
-with halving backtracking on an exact-penalty merit. Both run at unit
+A rod is a chain of equal-length rigid segments: its base pose (the base
+anchor and the first segment's unit quaternion) and its joint rotation
+vectors, segment j+1 being segment j turned by exp(joints[j]); a segment
+points along its quaternion's rotation of +z. Bending energy is a quadratic
+penalty on the joints' deviation from the per-joint rest curvature, and
+relaxation minimises it over the joints with the base pose fixed: in closed
+form for a free rod, and by KKT steps on the three rows of an optional tip
+pin, with halving backtracking on an exact-penalty merit. Both run at unit
 stiffness: the stiffness scales the energy, not its minimiser.
 
 Twist is ignored: the rest curvature's component along the segment axis
@@ -16,35 +17,15 @@ Twist is ignored: the rest curvature's component along the segment axis
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CurvatureOverflow, RodOutOfRange, UnreachableConstraint
 
 # ---------------------------------------------------------------------------
-# quaternion helpers (scalar-first: q = (w, x, y, z)), broadcasting over the
-# leading axes; exp and log maps as in Sola, arXiv:1711.02508, sec. 4.4
-
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=-1)
-
-
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return q / np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
-
+# quaternions are scalar-first, q = (w, x, y, z); the exp map as in Sola,
+# arXiv:1711.02508, sec. 4.4
 
 def rotvec_to_quat(v: np.ndarray) -> np.ndarray:
     """Exponential map: rotation vectors (axis * angle) to unit quaternions."""
@@ -57,87 +38,77 @@ def rotvec_to_quat(v: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cos(half), scale * v], axis=-1)
 
 
-def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
-    """Log map onto angle in [0, pi], sign fixed by a nonnegative scalar part."""
-    q = quat_normalize(q)
-    q = np.where(q[..., :1] < 0, -q, q)
-    w, v = q[..., :1], q[..., 1:]
-    s = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
-        return np.where(s < 1e-12, 2.0 * v / w, 2.0 * np.arctan2(s, w) * v / s)
-
-
 # ---------------------------------------------------------------------------
 # rod state
 
 @dataclass(frozen=True, eq=False)
 class RodState:
-    """Rigid-segment rod: base anchor, per-segment unit quaternions,
-    bending stiffness (energy per rad^2), and per-joint rest curvature."""
+    """Rigid-segment rod: base pose, joint rotation vectors, bending stiffness
+    (energy per rad^2), and per-joint rest curvature."""
 
     segment_length: float
-    orientations: np.ndarray  # (n_segments, 4) unit quaternions
-    base: np.ndarray
+    base: np.ndarray  # (3,) the base joint
+    base_orientation: np.ndarray  # (4,) the first segment's quaternion, normalised here
+    joints: np.ndarray  # (n_segments - 1, 3): segment j+1 is segment j turned by exp(joints[j])
     stiffness: float
     rest_curvature: np.ndarray  # (n_segments - 1, 3), axial part zeroed
 
     def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.orientations, dtype=float))
-        if q.shape[1] != 4 or q.shape[0] < 2:
-            raise ValueError("need >= 2 segment quaternions of length 4")
-        norms = np.linalg.norm(q, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            q = q / norms[:, None]
+        base = np.array(self.base, dtype=float)
+        q0 = np.array(self.base_orientation, dtype=float)
+        kappa = np.array(self.joints, dtype=float)
+        omega = np.array(self.rest_curvature, dtype=float)
+        if (base.shape != (3,) or q0.shape != (4,) or kappa.ndim != 2
+                or kappa.shape[0] < 1 or kappa.shape[1] != 3):
+            raise ValueError("need a base 3-vector, a base quaternion and >= 1 joint 3-vector")
+        if omega.shape != kappa.shape:
+            raise ValueError("rest_curvature must be one 3-vector per joint")
+        norm = math.hypot(*q0.tolist())  # scaled: a large quaternion does not overflow
+        if not (np.isfinite(base).all() and np.isfinite(kappa).all()
+                and np.isfinite(omega).all() and 0 < norm < math.inf):
+            raise ValueError("base, base_orientation, joints and rest_curvature must be "
+                             "finite, and base_orientation nonzero")
+        if abs(norm - 1.0) > 1e-12:
+            q0 = q0 / norm
+        n = len(kappa) + 1
         if not self.segment_length > 0:
             raise ValueError("segment_length must be positive")
-        if not math.isfinite(float(self.segment_length) * q.shape[0]):
-            raise RodOutOfRange(f"a rod of {q.shape[0]} segments of {self.segment_length:g} mm "
+        if not math.isfinite(float(self.segment_length) * n):
+            raise RodOutOfRange(f"a rod of {n} segments of {self.segment_length:g} mm "
                                 "is longer than a float can hold")
         if not self.stiffness > 0:
             raise ValueError("stiffness must be positive")
-        omega = np.array(self.rest_curvature, dtype=float)
-        if omega.shape != (q.shape[0] - 1, 3):
-            raise ValueError("rest_curvature must be one 3-vector per joint")
         omega[:, 2] = 0.0  # twist ignored: axial rest component projected out
         object.__setattr__(self, "segment_length", float(self.segment_length))
-        object.__setattr__(self, "orientations", q)
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float).reshape(3))
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base_orientation", q0)
+        object.__setattr__(self, "joints", kappa)
         object.__setattr__(self, "stiffness", float(self.stiffness))
         object.__setattr__(self, "rest_curvature", omega)
 
     @property
     def n_segments(self) -> int:
-        return self.orientations.shape[0]
+        return self.joints.shape[0] + 1
 
     def centerline(self) -> np.ndarray:
         """(n_segments + 1, 3) joint positions from base to tip."""
-        dirs = _matrices(self.orientations)[:, :, 2]
+        dirs = _matrices(_orientations_from_joints(self.base_orientation, self.joints))[:, :, 2]
         pts = np.vstack([np.zeros(3), np.cumsum(self.segment_length * dirs, axis=0)])
         return pts + self.base
 
 
 def straight_rod(n_segments: int, segment_length: float, stiffness: float = 1.0,
                  rest_curvature=None) -> RodState:
-    """Rod with identity orientations (straight along +z from the origin)."""
-    q = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (n_segments, 1))
-    if rest_curvature is None:
-        rest_curvature = np.zeros((n_segments - 1, 3))
-    return RodState(segment_length, q, np.zeros(3), stiffness, rest_curvature)
-
-
-def relative_curvature(q_i: np.ndarray, q_next: np.ndarray) -> np.ndarray:
-    """Rotation vector of q_i^-1 q_(i+1) (radians, angle in [0, pi])."""
-    return quat_to_rotvec(quat_mul(quat_conjugate(q_i), q_next))
-
-
-def joint_curvatures(rod: RodState) -> np.ndarray:
-    return relative_curvature(rod.orientations[:-1], rod.orientations[1:])
+    """Rod with zero joints and identity base orientation (straight along +z)."""
+    joints = np.zeros((n_segments - 1, 3))
+    return RodState(segment_length, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), joints,
+                    stiffness, joints if rest_curvature is None else rest_curvature)
 
 
 def bending_energy(rod: RodState) -> float:
-    """Sum over joints of (1/2) E ||kappa_j - omega0_j||^2 (total energy)."""
-    diff = joint_curvatures(rod) - rod.rest_curvature
-    return rod.stiffness * float(0.5 * np.sum(diff * diff))
+    """Total energy E * sum_j (1/2) ||kappa_j - omega_j||^2, summed as relax sums it."""
+    free = (rod.rest_curvature - rod.joints).ravel()
+    return rod.stiffness * (0.5 * float(free @ free))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +209,7 @@ def _check_reachable(rod: RodState, target: np.ndarray) -> None:
     # radius (n - 1) L about the first joint, and for n = 2 only its sphere;
     # hypot on Python floats measures a huge pin without overflow
     reach = (rod.n_segments - 1) * rod.segment_length
-    first = rod.base + rod.segment_length * _matrices(rod.orientations[:1])[0, :, 2]
+    first = rod.base + rod.segment_length * _matrices(rod.base_orientation[None])[0, :, 2]
     dist = math.hypot(*(t - f for t, f in zip(target.tolist(), first.tolist())))
     if dist > reach + 1e-9 or (rod.n_segments == 2 and dist < reach - 1e-9):
         bound = "exactly" if rod.n_segments == 2 else "at most"
@@ -252,8 +223,8 @@ def relax(rod: RodState, tip_target=None) -> RelaxResult:
     The stiffness E scales the energy, not its minimiser: the rod is relaxed
     at unit stiffness, and E only scales the reported energy and grad_inf.
     A free rod relaxes in closed form to kappa = omega (0 iterations, energy
-    0). A pinned tip, c = tip - target = 0, is met from joint_curvatures(rod)
-    by KKT steps of the energy (Hessian I) under the linearised pin, each a
+    0). A pinned tip, c = tip - target = 0, is met from the rod's joints by
+    KKT steps of the energy (Hessian I) under the linearised pin, each a
     3x3 solve (Nocedal & Wright, ch. 18), halved until the merit
     energy / rho + |c| falls by an Armijo fraction of its slope; rho grows
     as far as a step needs it to descend (N&W 18.36). A step too small for
@@ -264,13 +235,13 @@ def relax(rod: RodState, tip_target=None) -> RelaxResult:
     steps. Raises UnreachableConstraint for a pin outside the reachable set,
     and RodOutOfRange when J J^T, the start merit or the energy overflows.
 
-    energy is E * (1/2)|kappa - omega|^2 at the joints the solve ends on.
-    merits holds the merit at the start and after every accepted step, and
-    is empty for a free rod. The merit only falls as rho grows, so merits
-    never rise by more than the tip's rounding.
+    The returned rod holds the joints the solve ends on; energy is its
+    bending_energy bit for bit. merits holds the merit at the start and
+    after every accepted step, and is empty for a free rod. The merit only
+    falls as rho grows, so merits never rise by more than the tip's rounding.
     """
     L = rod.segment_length
-    q0 = rod.orientations[0]
+    q0 = rod.base_orientation
     omega = rod.rest_curvature
     merits: list = []
 
@@ -283,7 +254,7 @@ def relax(rod: RodState, tip_target=None) -> RelaxResult:
         length = rod.n_segments * L
         if not math.isfinite(rod.n_segments * length * length):
             raise RodOutOfRange(f"a pinned rod {length:g} mm long puts J J^T out of float range")
-        kappa = joint_curvatures(rod)
+        kappa = rod.joints
         rounding = _ROUNDING_ULPS * rod.n_segments ** 1.5 * L * np.finfo(float).eps
         tip_tol = max(GRAD_TOL, rounding)
         rho = float(np.finfo(float).eps)  # no weight is needed until a step asks for one
@@ -324,10 +295,9 @@ def relax(rod: RodState, tip_target=None) -> RelaxResult:
     energy = rod.stiffness * f
     if not math.isfinite(energy):
         raise RodOutOfRange(f"stiffness {rod.stiffness:g} puts the energy out of float range")
-    out = RodState(L, _orientations_from_joints(q0, kappa), rod.base, rod.stiffness, omega)
-    return RelaxResult(rod=out, energy=energy, converged=gi < GRAD_TOL and resid < tip_tol,
-                       iterations=iters, grad_inf=rod.stiffness * gi, tip_residual=resid,
-                       merits=tuple(merits))
+    return RelaxResult(rod=replace(rod, joints=kappa), energy=energy,
+                       converged=gi < GRAD_TOL and resid < tip_tol, iterations=iters,
+                       grad_inf=rod.stiffness * gi, tip_residual=resid, merits=tuple(merits))
 
 
 def rest_curvature_field(n_segments: int, tip_angle: float, seed: int) -> np.ndarray:
@@ -337,7 +307,8 @@ def rest_curvature_field(n_segments: int, tip_angle: float, seed: int) -> np.nda
     tip flavour), scaled so the largest per-joint bend is
     tip_angle / n_segments; the total turn never exceeds tip_angle. Raises
     CurvatureOverflow when the squared bends can overflow a float, or when
-    that bend reaches pi, where the log-map joint curvature wraps.
+    that bend reaches pi, where a joint folds a segment back onto the one
+    before it.
     """
     if n_segments < 2:
         raise ValueError("need at least 2 segments")

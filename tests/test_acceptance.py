@@ -15,22 +15,14 @@ from stereowire.bspline import basis, eval_curve_many, fit_curve, sample_uniform
 from stereowire.cameras import canonical_homogeneous, fundamental_matrix, project_many
 from stereowire.cli import main
 from stereowire.metrics import curve_metrics, discrete_frechet, episode_metrics, reward, Episode
-from stereowire.rod import (
-    RodState,
-    bending_energy,
-    joint_curvatures,
-    quat_mul,
-    quat_normalize,
-    relax,
-    rotvec_to_quat,
-)
+from stereowire.rod import RodState, bending_energy, relax
 from stereowire.rod import _tip_and_jacobian
 from stereowire.stereo import pchip_fit
 
 from conftest import random_stereo_rig
 from test_bspline import de_boor_oracle, n_ctrl, random_clamped_knots
 from test_metrics import frechet_memo_oracle
-from test_rod import fd_jacobian, random_unit_quat
+from test_rod import fd_jacobian, random_rod, random_unit_quat
 
 
 def _report(n, name, detail):
@@ -176,30 +168,22 @@ def test_criterion_6_rod_model():
     rng = np.random.default_rng(106)
     worst_rel = 0.0
     for _ in range(20):
-        n = int(rng.integers(4, 10))
-        qs = [random_unit_quat(rng)]
-        for _ in range(n - 1):
-            qs.append(quat_normalize(quat_mul(qs[-1], rotvec_to_quat(rng.normal(0, 0.3, 3)))))
-        rod = RodState(float(rng.uniform(0.5, 3.0)), np.array(qs), rng.normal(size=3),
-                       float(rng.uniform(0.5, 3.0)), rng.normal(0, 0.1, (n - 1, 3)))
-        kappa = joint_curvatures(rod)
+        rod = random_rod(rng, n=int(rng.integers(4, 10)), L=float(rng.uniform(0.5, 3.0)))
+        kappa = rod.joints
         target = rod.centerline()[-1] + rng.normal(0, 1.0, 3)
-        q0, base, L = rod.orientations[0], rod.base, rod.segment_length
+        q0, base, L = rod.base_orientation, rod.base, rod.segment_length
         _, jac = _tip_and_jacobian(q0, kappa, base, L)
         J_fd = fd_jacobian(lambda k: _tip_and_jacobian(q0, k, base, L)[0] - target, kappa, h=1e-6)
         worst_rel = max(worst_rel, np.abs(jac - J_fd).max() / np.abs(J_fd).max())
     assert worst_rel < 1e-5
 
-    qs = [random_unit_quat(rng)]
-    for _ in range(11):
-        qs.append(quat_normalize(quat_mul(qs[-1], rotvec_to_quat(rng.normal(0, 0.3, 3)))))
-    bent = RodState(1.5, np.array(qs), np.zeros(3), 1.0, np.zeros((11, 3)))
+    bent = RodState(1.5, np.zeros(3), random_unit_quat(rng), rng.normal(0, 0.3, (11, 3)), 1.0,
+                    np.zeros((11, 3)))
     res = relax(bent)
     assert res.energy < 1e-10
 
-    q0 = np.array([1.0, 0.0, 0.0, 0.0])
-    q1 = rotvec_to_quat([np.pi / 4, 0.0, 0.0])
-    single = RodState(1.0, np.array([q0, q1]), np.zeros(3), 2.0, np.zeros((1, 3)))
+    single = RodState(1.0, np.zeros(3), [1.0, 0.0, 0.0, 0.0], [[np.pi / 4, 0.0, 0.0]], 2.0,
+                      np.zeros((1, 3)))
     closed_form = np.pi ** 2 / 16.0
     assert abs(bending_energy(single) - closed_form) < 1e-12
     _report(6, "rod-model", f"tip Jacobian rel err {worst_rel:.2e}, relaxed energy "

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -7,11 +6,6 @@ from stereowire.errors import CurvatureOverflow, RodOutOfRange, UnreachableConst
 from stereowire.rod import (
     RodState,
     bending_energy,
-    joint_curvatures,
-    quat_mul,
-    quat_normalize,
-    quat_to_rotvec,
-    relative_curvature,
     relax,
     rest_curvature_field,
     rotvec_to_quat,
@@ -22,19 +16,18 @@ from stereowire.rod import _tip_and_jacobian
 
 
 def random_unit_quat(rng):
-    return quat_normalize(rng.normal(size=4))
+    q = rng.normal(size=4)
+    return q / np.linalg.norm(q)
 
 
 def random_rod(rng, n=10, L=2.0):
-    qs = [random_unit_quat(rng)]
-    for _ in range(n - 1):
-        qs.append(quat_normalize(quat_mul(qs[-1], rotvec_to_quat(rng.normal(0, 0.3, 3)))))
-    return RodState(L, np.array(qs), rng.normal(size=3), float(rng.uniform(0.5, 3.0)),
+    q0, joints = random_unit_quat(rng), rng.normal(0, 0.3, (n - 1, 3))
+    return RodState(L, rng.normal(size=3), q0, joints, float(rng.uniform(0.5, 3.0)),
                     rng.normal(0, 0.1, (n - 1, 3)))
 
 
 def rotmat_from_rotvec(v):
-    """Rodrigues formula, independent of the quaternion helpers."""
+    """Rodrigues formula, independent of the rod's quaternion chain."""
     theta = np.linalg.norm(v)
     if theta < 1e-12:
         return np.eye(3)
@@ -52,55 +45,58 @@ def quat_to_rotmat(q):
     ])
 
 
-# ------------------------------------------------------------- curvature
+# ------------------------------------------------------------- joints
 
-def test_curvature_identity_pair(rng):
-    q = random_unit_quat(rng)
-    assert np.allclose(relative_curvature(q, q), np.zeros(3), atol=1e-12)
-
-
-def test_curvature_quarter_turn_about_z():
-    q_i = np.array([1.0, 0.0, 0.0, 0.0])
-    q_next = rotvec_to_quat([0.0, 0.0, np.pi / 2])
-    assert np.allclose(relative_curvature(q_i, q_next), [0, 0, np.pi / 2], atol=1e-12)
-
-
-def test_curvature_exp_log_round_trip(rng):
-    # exponentiating the returned rotation vector recovers q_i^-1 q_{i+1},
-    # checked through an independent Rodrigues rotation-matrix oracle
-    for _ in range(50):
-        q_i, q_next = random_unit_quat(rng), random_unit_quat(rng)
-        kappa = relative_curvature(q_i, q_next)
-        assert np.linalg.norm(kappa) <= np.pi + 1e-12
-        R_expected = quat_to_rotmat(q_i).T @ quat_to_rotmat(q_next)
-        assert np.abs(rotmat_from_rotvec(kappa) - R_expected).max() < 1e-12
+def test_centerline_chains_the_joints(rng):
+    # segment k points along R(q0) Rodrigues(kappa_0) ... Rodrigues(kappa_(k-1)) e_z,
+    # built from the independent Rodrigues and quaternion-matrix oracles
+    for _ in range(20):
+        rod = random_rod(rng, n=int(rng.integers(2, 13)), L=float(rng.uniform(0.5, 3.0)))
+        dirs = np.diff(rod.centerline(), axis=0) / rod.segment_length
+        R = quat_to_rotmat(rod.base_orientation)
+        for k, d in enumerate(dirs):
+            if k > 0:
+                R = R @ rotmat_from_rotvec(rod.joints[k - 1])
+            assert np.abs(d - R[:, 2]).max() < 1e-12
 
 
 def test_batched_helpers_equal_per_row_calls_bit_for_bit(rng):
     # one batch of zero, sub-1e-12, ordinary, near-pi and past-pi rows; the
-    # last exponentiates to w < 0, which the log map flips
+    # last exponentiates to w < 0
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     v = np.vstack([np.zeros(3), [3e-13, -2e-13, 1e-13], rng.normal(0, 0.5, (4, 3)),
                    (np.pi - 1e-9) * axis, (np.pi + 0.5) * axis])
     q = rotvec_to_quat(v)
     assert q[-1, 0] < 0
-    # pairs whose relative rotation is zero, a sign flip (w = -1), near pi, or random
-    p = np.array([random_unit_quat(rng) for _ in v])
-    p[0], p[1] = q[0], -q[1]
-    p[2] = quat_mul(q[2], rotvec_to_quat(-(np.pi - 1e-9) * axis))
-    for batch, rows in ((rotvec_to_quat(v), [rotvec_to_quat(r) for r in v]),
-                        (quat_to_rotvec(q), [quat_to_rotvec(r) for r in q]),
-                        (quat_to_rotvec(2.0 * q), [quat_to_rotvec(2.0 * r) for r in q]),
-                        (relative_curvature(p, q), [relative_curvature(a, b) for a, b in zip(p, q)])):
-        assert batch.tobytes() == np.array(rows).tobytes()
+    assert q.tobytes() == np.array([rotvec_to_quat(r) for r in v]).tobytes()
 
 
-def test_joint_curvatures_equal_per_joint_calls_bit_for_bit(rng):
-    rod = random_rod(rng, n=12)
-    q = rod.orientations
-    rows = [relative_curvature(q[j], q[j + 1]) for j in range(rod.n_segments - 1)]
-    assert joint_curvatures(rod).tobytes() == np.array(rows).tobytes()
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field,value", [
+    ("base_orientation", np.zeros(4)),
+    ("base_orientation", [1.0, np.nan, 0.0, 0.0]),
+    ("base_orientation", [np.inf, 0.0, 0.0, 0.0]),
+    ("joints", [[0.0, 0.0, 0.0], [0.1, np.inf, 0.0]]),
+    ("joints", [[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    ("base", [0.0, np.nan, 0.0]),
+    ("base", [np.inf, 0.0, 0.0]),
+    ("rest_curvature", [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]),
+], ids=["q0-zero", "q0-nan", "q0-inf", "joints-inf", "joints-nan", "base-nan", "base-inf",
+        "rest-nan"])
+def test_rod_state_refuses_a_bad_state(field, value):
+    good = dict(segment_length=1.0, base=np.zeros(3), base_orientation=[1.0, 0.0, 0.0, 0.0],
+                joints=np.zeros((2, 3)), stiffness=1.0, rest_curvature=np.zeros((2, 3)))
+    RodState(**good)
+    with pytest.raises(ValueError):
+        RodState(**{**good, field: value})
+
+
+def test_rod_state_normalises_its_base_orientation():
+    rod = RodState(1.0, np.zeros(3), [1e300, 0.0, 1e300, 0.0], np.zeros((2, 3)), 1.0,
+                   np.zeros((2, 3)))
+    assert np.allclose(rod.base_orientation, [np.sqrt(0.5), 0.0, np.sqrt(0.5), 0.0])
+    assert np.allclose(rod.centerline()[-1], [3.0, 0.0, 0.0])
 
 
 # ------------------------------------------------------------- energy
@@ -111,9 +107,8 @@ def test_energy_straight_rod_zero():
 
 
 def test_energy_single_joint_closed_form():
-    q0 = np.array([1.0, 0.0, 0.0, 0.0])
-    q1 = rotvec_to_quat([np.pi / 4, 0.0, 0.0])
-    rod = RodState(1.0, np.array([q0, q1]), np.zeros(3), 2.0, np.zeros((1, 3)))
+    rod = RodState(1.0, np.zeros(3), [1.0, 0.0, 0.0, 0.0], [[np.pi / 4, 0.0, 0.0]], 2.0,
+                   np.zeros((1, 3)))
     assert abs(bending_energy(rod) - np.pi ** 2 / 16.0) < 1e-12
 
 
@@ -121,8 +116,7 @@ def test_energy_matches_naive_loop_oracle(rng):
     rod = random_rod(rng)
     total = 0.0
     for j in range(rod.n_segments - 1):
-        kappa = relative_curvature(rod.orientations[j], rod.orientations[j + 1])
-        diff = kappa - rod.rest_curvature[j]
+        diff = rod.joints[j] - rod.rest_curvature[j]
         total += 0.5 * rod.stiffness * float(diff @ diff)
     assert abs(bending_energy(rod) - total) < 1e-12
 
@@ -130,16 +124,14 @@ def test_energy_matches_naive_loop_oracle(rng):
 def test_energy_nonnegative_zero_iff_rest(rng):
     rod = random_rod(rng)
     assert bending_energy(rod) >= 0.0
-    # twist-free joint rotations so the curvatures live in the rest space
-    # (the axial rest component is projected out by construction)
-    qs = [random_unit_quat(rng)]
+    # twist-free joints, so they live in the rest space (the axial rest
+    # component is projected out by construction)
+    q0 = random_unit_quat(rng)
     steps = rng.normal(0, 0.3, (7, 3))
     steps[:, 2] = 0.0
-    for v in steps:
-        qs.append(quat_normalize(quat_mul(qs[-1], rotvec_to_quat(v))))
-    at_rest = RodState(1.0, np.array(qs), np.zeros(3), 2.0, steps)
-    assert bending_energy(at_rest) < 1e-24
-    perturbed = RodState(1.0, np.array(qs), np.zeros(3), 2.0, steps + [0.01, 0.0, 0.0])
+    at_rest = RodState(1.0, np.zeros(3), q0, steps, 2.0, steps)
+    assert bending_energy(at_rest) == 0.0
+    perturbed = RodState(1.0, np.zeros(3), q0, steps, 2.0, steps + [0.01, 0.0, 0.0])
     assert bending_energy(perturbed) > 0.0
 
 
@@ -169,10 +161,10 @@ def fd_jacobian(residual, kappa, h=1e-6):
 def test_gradient_matches_finite_differences(rng):
     for _ in range(20):
         rod = random_rod(rng, n=int(rng.integers(4, 9)))
-        kappa = joint_curvatures(rod)
+        kappa = rod.joints
         target = rod.centerline()[-1] + rng.normal(0, 1.0, 3)
         weight = float(rng.uniform(0.5, 5.0))
-        q0, base, L = rod.orientations[0], rod.base, rod.segment_length
+        q0, base, L = rod.base_orientation, rod.base, rod.segment_length
         tip, jac = _tip_and_jacobian(q0, kappa, base, L)
         J_fd = fd_jacobian(lambda k: _tip_and_jacobian(q0, k, base, L)[0] - target, kappa, h=1e-6)
         assert jac.shape == (3, kappa.size)
@@ -191,19 +183,18 @@ def test_gradient_matches_finite_differences(rng):
 
 def test_relax_unconstrained_goes_straight(rng):
     rod = random_rod(rng)
-    rod = RodState(rod.segment_length, rod.orientations, rod.base,
+    rod = RodState(rod.segment_length, rod.base, rod.base_orientation, rod.joints,
                    rod.stiffness, np.zeros((rod.n_segments - 1, 3)))
     res = relax(rod)
-    assert res.energy < 1e-10
-    assert np.abs(joint_curvatures(res.rod)).max() < 1e-6
+    assert res.energy == 0.0
+    assert np.array_equal(res.rod.joints, np.zeros((rod.n_segments - 1, 3)))
 
 
 def test_relax_constant_rest_curvature_gives_arc():
     omega = np.tile([0.12, 0.0, 0.0], (9, 1))
     rod = straight_rod(10, 2.0, rest_curvature=omega)
     res = relax(rod)
-    kappas = joint_curvatures(res.rod)
-    assert np.abs(kappas - omega).max() < 1e-6
+    assert np.array_equal(res.rod.joints, omega)
     # arc geometry oracle: equal turning per joint puts the joints on a
     # circle of radius L / (2 sin(alpha/2)) through the base
     pts = res.rod.centerline()
@@ -255,7 +246,7 @@ def test_relax_pinned_energy_is_the_energy_of_the_returned_rod(rng):
     rod = random_rod(rng)
     res = relax(rod, tip_target=rod.base + np.array([2.0, 1.0, rod.segment_length * 5]))
     assert res.converged and res.energy > 0
-    assert math.isclose(res.energy, bending_energy(res.rod), rel_tol=1e-12)
+    assert res.energy == bending_energy(res.rod)
 
 
 def test_relax_preserves_spacing(rng):
