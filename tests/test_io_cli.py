@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import random
 import re
 import shlex
+import stat
 import struct
 from pathlib import Path
 
@@ -828,6 +830,12 @@ def test_dump_json_refuses_non_finite_values(tmp_path):
     with pytest.raises(StereowireError, match="not JSON compliant"):
         swio.dump_json({"x": [1.0, float("inf")]}, path)
     assert not path.exists()
+    # a refused value leaves an existing artifact as it was
+    swio.save_curve(fit_curve(np.random.default_rng(0).normal(size=(12, 3))), path)
+    before = path.read_bytes()
+    with pytest.raises(StereowireError, match="not JSON compliant"):
+        swio.dump_json({"x": [float("nan")]}, path)
+    assert path.read_bytes() == before
 
 
 def test_help_still_exits_zero(capsys):
@@ -837,24 +845,79 @@ def test_help_still_exits_zero(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["synth", "reconstruct"])
-def test_unwritable_out_prints_one_line(command, tmp_path, capsys):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    out = blocker / "r.json"  # its parent is a regular file
+def out_argv(command, tmp_path, out) -> list[str]:
+    """argv of a command whose --out is out: a directory for synth, a file otherwise."""
     if command == "synth":
-        argv = ["synth", "--out", str(out)]
+        return ["synth", "--out", str(out)]
+    if command == "relax":
+        return ["relax", "--out", str(out), "--n-segments", "8", "--tip-angle", "0.6"]
+    frame = synth_dir(tmp_path)
+    return ["reconstruct", "--camera-a", str(frame / "camera_a.json"),
+            "--camera-b", str(frame / "camera_b.json"),
+            "--annotations", str(frame / "annotation_a.json"),
+            str(frame / "annotation_b.json"), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command,out_is", [
+    pytest.param("synth", "under_a_file", id="synth"),
+    pytest.param("reconstruct", "under_a_file", id="reconstruct"),
+    pytest.param("relax", "under_a_file", id="relax"),
+    pytest.param("reconstruct", "a_directory", id="reconstruct-directory"),
+    pytest.param("relax", "a_directory", id="relax-directory"),
+])
+def test_unwritable_out_prints_one_line(command, out_is, tmp_path, capsys):
+    if out_is == "a_directory":
+        out = tmp_path / "r.json"
+        out.mkdir()
     else:
-        frame = synth_dir(tmp_path)
-        argv = ["reconstruct", "--camera-a", str(frame / "camera_a.json"),
-                "--camera-b", str(frame / "camera_b.json"),
-                "--annotations", str(frame / "annotation_a.json"),
-                str(frame / "annotation_b.json"), "--out", str(out)]
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "r.json"  # its parent is a regular file
+    argv = out_argv(command, tmp_path, out)
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "relax"])
+def test_out_may_be_dev_null(command, tmp_path, capsys):
+    # a character device takes the bytes and is not cut to length
+    argv = out_argv(command, tmp_path, os.devnull)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_relax_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    real, link, direct = tmp_path / "real.json", tmp_path / "link.json", tmp_path / "direct.json"
+    real.write_text("x" * 5000)
+    link.symlink_to(real)
+    assert main(out_argv("relax", tmp_path, link)) == 0
+    assert main(out_argv("relax", tmp_path, direct)) == 0
+    assert link.is_symlink() and link.readlink() == real
+    assert real.read_bytes() == direct.read_bytes()
+
+
+def test_dump_json_rewrites_a_file_in_place(tmp_path, monkeypatch):
+    path = tmp_path / "x.json"
+    path.write_bytes(b"x" * 5000)
+    path.chmod(0o600)
+    inode = path.stat().st_ino
+    flags, real_open = [], os.open
+
+    def spy(file, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(file, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    obj = {"frame": 3, "x": [1.0, -0.5]}
+    swio.dump_json(obj, path)
+    monkeypatch.undo()
+    assert path.read_text() == oracle_json(obj)
+    assert path.stat().st_ino == inode and stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
 
 
 def _mutate(field, value):
