@@ -30,7 +30,9 @@ _RANK_TOL = 1e-12
 
 
 def canonical_homogeneous(v: np.ndarray) -> np.ndarray:
-    """Scale a homogeneous vector to unit norm, last nonzero component >= 0."""
+    """Scale a homogeneous vector to unit norm and fix its sign: the last
+    component is made >= 0 or, when it is within 1e-14 of zero, the first
+    component beyond 1e-14 is made positive. A zero vector is copied."""
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
     if n == 0.0:

@@ -4,8 +4,17 @@ Every loader rejects unknown fields by name. Every file is written as
 json.dumps(obj, indent=2) would lay it out, with each float written as the
 shortest repr of its 9-significant-digit rounding and a '.' decimal
 separator, so repeated runs produce byte-identical files regardless of
-locale. The writer formats all floats of a list in one '%.9g' pass and
-takes repr only for the few tokens whose layout differs from repr's.
+locale.
+
+The writer formats each float array (a float64 ndarray of one or two
+dimensions, an all-float list, or a list of equally long all-float rows) in
+one '%.9g' pass straight into a template of its final layout. A '%.9g'
+token can differ from that repr only for a value near an integer, of
+magnitude below 1e-4 or of about 1e8 and more, or not finite
+(_needs_repr); only an array holding such a value takes the repr repair of
+_float_tokens. A knot vector always does, since a clamped one starts at 0
+and ends at 1, which '%.9g' writes as '0' and '1' where repr writes '0.0'
+and '1.0'.
 """
 
 from __future__ import annotations
@@ -48,42 +57,80 @@ def _float_tokens(values: tuple) -> list[str]:
             for t in text[:-1].split(",")]
 
 
+def _needs_repr(arr: np.ndarray) -> bool:
+    """Whether some value of arr may get a '%.9g' token other than its repr.
+
+    A finite value of magnitude in [1e-4, 99999999) is printed positionally
+    with a digit after the point, and '%.9g' drops that point only when the
+    value lies within half a unit of its 9th significant digit of an
+    integer: within 0.5e-8 * |v|, or 0.5e-8 below 1. The 1e-8 bound below
+    flags those with a factor of two to spare. Any other value (zero, a
+    subnormal, 1e-5, 1e9, inf, nan, which fails every comparison) is flagged.
+    """
+    mag = np.abs(arr)
+    if not (mag.min(initial=np.inf) >= 1e-4 and mag.max(initial=0.0) < 99999999.0):
+        return True
+    return not (np.abs(mag - np.rint(mag)) > 1e-8 * np.maximum(mag, 1.0)).all()
+
+
 def _key(key) -> str:
     # json's own key conversion: numbers, booleans and None become strings
     return json.dumps(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
+
+
+def _list(items: list[str], pad: str) -> str:
+    """json.dumps' indent=2 layout of a list whose items encode to items,
+    at the line prefix pad."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _float_array(arr: np.ndarray, pad: str) -> str:
+    """A 1-D or 2-D float64 array in its final layout: one '%' over a template
+    of that layout, with a '%.9g' cell per value, or '%s' cells taking the
+    repaired tokens of _float_tokens when _needs_repr flags the array."""
+    values = tuple(arr.ravel().tolist())
+    cell = "%.9g"
+    if _needs_repr(arr):
+        cell, values = "%s", tuple(_float_tokens(values))
+    row = cell if arr.ndim == 1 else _list([cell] * arr.shape[1], pad + "  ")
+    return _list([row] * arr.shape[0], pad) % values
+
+
+def _is_float_array(obj) -> bool:
+    """Whether obj is a float array in the sense of the module docstring."""
+    if type(obj) is np.ndarray:
+        return obj.dtype == np.float64 and obj.ndim in (1, 2)
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return False
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        return True
+    return kinds <= {list, tuple} and len(set(map(len, obj))) == 1 \
+        and set(map(type, chain.from_iterable(obj))) == {float}
 
 
 def _encode(obj, pad: str) -> str:
     """obj as json.dumps(obj, indent=2) lays it out at the line prefix pad
     (a newline and the enclosing indentation), floats by _float_tokens.
 
-    An all-float list takes one format pass; a list of equally long
-    all-float rows, one more '%' over a repeated row template.
+    A float array (see the module docstring) takes _float_array's one pass.
     """
     if isinstance(obj, float):
         return _float_tokens((obj,))[0]
+    if _is_float_array(obj):
+        return _float_array(np.asarray(obj, dtype=float), pad)
     inner = pad + "  "
-    sep = "," + inner
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = sep.join(f"{_key(k)}: {_encode(v, inner)}" for k, v in obj.items())
+        items = ("," + inner).join(f"{_key(k)}: {_encode(v, inner)}" for k, v in obj.items())
         return "{" + inner + items + pad + "}"
     if not isinstance(obj, (list, tuple)):
         return json.dumps(obj)
-    if not obj:
-        return "[]"
-    kinds = set(map(type, obj))
-    cells = tuple(chain.from_iterable(obj)) if kinds <= {list, tuple} else ()
-    if kinds == {float}:
-        body = sep.join(_float_tokens(tuple(obj)))
-    elif set(map(type, cells)) == {float} and len(set(map(len, obj))) == 1:
-        cell = inner + "  "
-        row = "[" + cell + ("," + cell).join(["%s"] * len(obj[0])) + inner + "]"
-        body = sep.join([row] * len(obj)) % tuple(_float_tokens(cells))
-    else:
-        body = sep.join(_encode(v, inner) for v in obj)
-    return "[" + inner + body + pad + "]"
+    return _list([_encode(v, inner) for v in obj], pad)
 
 
 def dump_json(obj, path) -> None:
@@ -182,7 +229,8 @@ def _rows(value, what: str, width: int) -> np.ndarray:
 # --- camera files ---
 
 def camera_to_dict(cam: ProjectiveCamera) -> dict:
-    return {"P": cam.P.tolist(), "image_size": list(cam.image_size)}
+    """The camera file's object, P as cam's own (read-only) float64 array."""
+    return {"P": cam.P, "image_size": list(cam.image_size)}
 
 
 def save_camera(cam: ProjectiveCamera, path) -> None:
@@ -202,10 +250,11 @@ def load_camera(path) -> ProjectiveCamera:
 # --- curve files ---
 
 def curve_to_dict(curve: BSplineCurve) -> dict:
+    """The curve file's object, knots and control points as the curve's own arrays."""
     return {
         "degree": curve.degree,
-        "knots": curve.knots.tolist(),
-        "control_points": curve.control_points.tolist(),
+        "knots": curve.knots,
+        "control_points": curve.control_points,
     }
 
 
@@ -240,7 +289,7 @@ def load_curve(path) -> BSplineCurve:
 
 def save_annotation(points: np.ndarray, camera: str, frame: int, path) -> None:
     dump_json({"frame": int(frame), "camera": camera,
-               "points": np.asarray(points, dtype=float).tolist()}, path)
+               "points": np.asarray(points, dtype=float)}, path)
 
 
 def load_annotation(path) -> tuple[int, str, np.ndarray]:
@@ -258,8 +307,7 @@ def load_annotation(path) -> tuple[int, str, np.ndarray]:
 # --- spherical chains ---
 
 def save_chain(chain: SphericalChain, path) -> None:
-    dump_json({"tip": chain.tip.tolist(), "r": chain.r,
-               "offsets": chain.offsets.tolist()}, path)
+    dump_json({"tip": chain.tip, "r": chain.r, "offsets": chain.offsets}, path)
 
 
 def load_chain(path) -> SphericalChain:

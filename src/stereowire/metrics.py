@@ -46,6 +46,8 @@ class Episode:
             raise ValueError("episode needs at least one time step")
         if len(forces) not in (0, len(tips)):
             raise ValueError("forces must be empty or match the tip track length")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError("max_steps must be non-negative")
         object.__setattr__(self, "tip_positions", tips)
         object.__setattr__(self, "forces", forces)
         object.__setattr__(self, "goal", np.asarray(self.goal, dtype=float).reshape(3))

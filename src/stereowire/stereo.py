@@ -237,7 +237,7 @@ def match_curves(curve_a: BSplineCurve, curve_b: BSplineCurve,
     for u_a, x_a in zip(u_as.tolist(), pts_a):
         try:
             roots = intersect_epiline(curve_b, epiline(F, x_a))
-        except ZeroLine:  # x_a is view B's epipole
+        except ZeroLine:  # x_a is view A's epipole, the image of camera B's center
             roots = []
         admissible = [r for r in roots if r >= last_ub - 1e-12]
         if admissible:

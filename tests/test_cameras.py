@@ -69,7 +69,27 @@ def test_project_principal_plane_raises():
         project_many(cam, [[1.0, 1.0, 0.0]])[0]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_refuses_a_non_finite_point(bad):
+    with pytest.raises(ValueError, match="points must be finite"):
+        project_many(canonical(), [[0.0, 0.0, 1.0], [1.0, bad, 2.0]])
+
+
 # ---------------------------------------------------------------- camera center
+
+def test_canonical_homogeneous_of_a_zero_vector_is_a_zero_copy():
+    v = np.zeros(4)
+    got = canonical_homogeneous(v)
+    assert np.array_equal(got, v) and got is not v
+
+
+def test_canonical_homogeneous_at_infinity_makes_the_first_nonzero_positive():
+    # last component 0: the first one beyond 1e-14 (after scaling) takes the sign
+    assert np.array_equal(canonical_homogeneous([0.0, -3.0, 4.0, 0.0]), [0.0, 0.6, -0.8, 0.0])
+    assert np.array_equal(canonical_homogeneous([1e-300, -3.0, 4.0, 0.0]),
+                          [-1e-300 / 5.0, 0.6, -0.8, 0.0])
+    assert np.array_equal(canonical_homogeneous([3.0, 0.0, -4.0, 0.0]), [0.6, 0.0, -0.8, 0.0])
+
 
 def test_center_canonical_at_origin():
     C = canonical().center
@@ -232,6 +252,14 @@ def test_epiline_at_epipole_raises(rng):
     e_a = cam_a.P @ cam_b.center
     with pytest.raises(ZeroLine):
         epiline(F, e_a[:2] / e_a[2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_epiline_refuses_a_non_finite_point(rng, bad):
+    F = fundamental_matrix(*random_stereo_rig(rng))
+    for x in ([bad, 1.0], [1.0, -bad]):
+        with pytest.raises(ValueError, match="point must be finite"):
+            epiline(F, x)
 
 
 def test_epiline_skew_pattern_manual_multiply():

@@ -205,11 +205,35 @@ def _random_array(rng, shape):
     return values
 
 
+ARRAY_SHAPES = [(1,), (300,), (1, 1), (64, 2), (200, 3), (5, 7)]
+
+
+def _plain_array(rng, shape):
+    """Values of magnitude in [1e-4, 1e5), those above 1 at least 0.25 from an
+    integer: the writer formats such an array in one pass."""
+    mag = rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(-4, 5, shape)
+    mag = np.where(mag < 1.0, mag, np.floor(mag) + rng.uniform(0.25, 0.75, shape))
+    return rng.choice([-1.0, 1.0], shape) * mag
+
+
+def _switch_values():
+    """Floats on both sides of each bound at which the writer's one-pass test
+    flags a value: magnitudes 1e-4, 99999999 and 1e9; integers scaled by
+    1 +- 4.5e-9 (whose token may drop the point) and 1 +- 1e-9 (flagged),
+    or by 1 +- 2e-8 and 1 +- 1e-7 (not); -0.0 and subnormals."""
+    bounds = [1e-4, 99999999.0, 1e9]
+    near = [np.nextafter(b, to) for b in bounds for to in (0.0, np.inf)]
+    ints = [1.0, 3.0, 7.0, 100.0, 12345.0, 1234567.0, 50000000.0]
+    factors = (1e-9, 4.5e-9, 1e-8, 2e-8, 1e-7)
+    scaled = [k * (1.0 + s * f) for k in ints for f in factors for s in (-1.0, 1.0)]
+    values = bounds + near + ints + scaled + [0.5, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+    return [v for x in values for v in (x, -x)]
+
+
 def test_dump_json_writes_the_oracles_bytes(tmp_path, rng):
     seeded = random.Random(7)
     objects = [_random_object(seeded) for _ in range(3000)]
-    objects += [{"values": _random_array(rng, shape).tolist()}
-                for shape in [(1,), (300,), (1, 1), (64, 2), (200, 3), (5, 7)]]
+    objects += [{"values": _random_array(rng, shape).tolist()} for shape in ARRAY_SHAPES]
     objects += [EDGE_FLOATS, [[x, -x] for x in EDGE_FLOATS], {"P": [EDGE_FLOATS[:4]] * 3},
                 [[1.0, 2.0], [3.0]], [[], []], ([0.5, 2.0], (1.5, 2.5)),
                 {1.5: [2.0], 3: None, True: "x", None: -0.0}]
@@ -217,6 +241,21 @@ def test_dump_json_writes_the_oracles_bytes(tmp_path, rng):
     for obj in objects:
         swio.dump_json(obj, path)
         assert path.read_text() == oracle_json(obj)
+    # float64 arrays, each written alone and nested two levels down
+    switch = np.array(_switch_values())
+    plain = [_plain_array(rng, shape) for shape in ARRAY_SHAPES]
+    plain += [_plain_array(rng, (n, width)) for n in (1, 2, 40) for width in (1, 2, 3)]
+    assert not any(map(swio._needs_repr, plain))  # so these take the single pass
+    arrays = [_random_array(rng, shape) for shape in ARRAY_SHAPES] + plain
+    arrays += [np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0)), np.array(EDGE_FLOATS),
+               np.array([[x, -x] for x in EDGE_FLOATS]), np.array([EDGE_FLOATS[:4]] * 3),
+               switch, switch.reshape(-1, 2), switch.reshape(-1, 1)]
+    arrays += [switch[i:i + 1] for i in range(len(switch))]
+    arrays += [np.array([[0.5, x], [x, 0.25]]) for x in switch]
+    for arr in arrays:
+        for obj, listed in ((arr, arr.tolist()), ({"x": [arr]}, {"x": [arr.tolist()]})):
+            swio.dump_json(obj, path)
+            assert path.read_text() == oracle_json(listed), arr
 
 
 # ------------------------------------------------------------- synth command
@@ -833,9 +872,12 @@ def test_dump_json_refuses_non_finite_values(tmp_path):
     # a refused value leaves an existing artifact as it was
     swio.save_curve(fit_curve(np.random.default_rng(0).normal(size=(12, 3))), path)
     before = path.read_bytes()
-    with pytest.raises(StereowireError, match="not JSON compliant"):
-        swio.dump_json({"x": [float("nan")]}, path)
-    assert path.read_bytes() == before
+    refused = [{"x": [float("nan")]}, np.array([0.5, np.nan]),
+               np.array([[0.5, 2.5], [np.inf, 1.5]]), {"control_points": np.array([[1.5, -np.inf]])}]
+    for obj in refused:
+        with pytest.raises(StereowireError, match="not JSON compliant"):
+            swio.dump_json(obj, path)
+        assert path.read_bytes() == before
 
 
 def test_help_still_exits_zero(capsys):
@@ -987,6 +1029,24 @@ def test_cli_bad_numeric_field_single_line_diagnostic(tmp_path, capsys, case):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert captured.out == ""
+
+
+def test_episode_refuses_a_negative_max_steps(tmp_path, capsys):
+    with pytest.raises(ValueError, match="max_steps must be non-negative"):
+        Episode(tip_positions=np.zeros((2, 3)), forces=np.zeros((0, 3)),
+                goal=np.ones(3), success=False, max_steps=-1)
+    ep = {"tip": [[0.0, 0.0, 0.0]], "forces": [], "goal": [1.0, 0.0, 0.0], "success": True}
+    path = tmp_path / "ep.json"
+    path.write_text(json.dumps({**ep, "max_steps": -5}))
+    with pytest.raises(ParseError, match="max_steps must be non-negative"):
+        swio.load_episodes(path)
+    capsys.readouterr()
+    assert main(["evaluate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    path.write_text(json.dumps({**ep, "max_steps": 0}))
+    assert swio.load_episodes(path)[0].max_steps == 0
 
 
 def test_report_and_episode_numeric_fields_checked(tmp_path, rng):

@@ -8,7 +8,8 @@ from stereowire import stereo
 from stereowire.bspline import BSplineCurve, bernstein_matrix, eval_curve_many, fit_curve, sample_uniform
 from stereowire.cameras import ProjectiveCamera, epiline, fundamental_matrix, project_many
 from stereowire.cli import main
-from stereowire.errors import CoincidentCenters, NoMatches, NonMonotoneInput, PointAtInfinity
+from stereowire.errors import (CoincidentCenters, NoMatches, NonMonotoneInput, PointAtInfinity,
+                               ZeroLine)
 from stereowire.rig import default_rig
 from stereowire.stereo import (
     ON_LINE_PX,
@@ -528,6 +529,23 @@ def test_match_no_intersections_raises():
         match_curves(curve_a, curve_b, F, n_samples=16)
 
 
+def test_a_sample_on_view_as_epipole_is_a_gap():
+    # the annotation starts at camera B's center seen in view A, where every
+    # epiline meets: F x_A vanishes, so that sample has no epiline in view B
+    cam_a, cam_b = default_rig()
+    wire = helix_points()
+    e_a = cam_a.P @ cam_b.center
+    annotation = np.vstack([e_a[:2] / e_a[2], project_many(cam_a, wire)])
+    curve_a, curve_b = fit_curve(annotation), fit_curve(project_many(cam_b, wire))
+    F = fundamental_matrix(cam_a, cam_b)
+    m = match_curves(curve_a, curve_b, F, n_samples=64)
+    with pytest.raises(ZeroLine):
+        epiline(F, m.points[0])
+    assert m.samples[0][1] is None
+    matched = [u_b for _, u_b in m.samples if u_b is not None]
+    assert len(matched) >= 2 and matched == sorted(matched)
+
+
 def test_match_interpolant_monotone_at_many_probes():
     wire = helix_points()
     cam_a, cam_b, curve_a, curve_b = stereo_curves(wire)
@@ -555,6 +573,16 @@ def test_triangulate_baseline_degeneracy():
     with pytest.raises(PointAtInfinity):
         triangulate_point(cam_a, cam_b, project_many(cam_a, [mid])[0],
                           project_many(cam_b, [mid])[0])
+
+
+def test_triangulate_vanishing_points_is_a_point_at_infinity():
+    # both views' vanishing points of one direction: the rays are parallel and
+    # distinct, meeting only at the point at infinity (d, 0)
+    cam_a, cam_b = default_rig()
+    d = np.array([0.3, 0.5, 0.8])  # the baseline runs along x
+    x_a, x_b = cam_a.P[:, :3] @ d, cam_b.P[:, :3] @ d
+    with pytest.raises(PointAtInfinity, match="zero homogeneous weight"):
+        triangulate_point(cam_a, cam_b, x_a[:2] / x_a[2], x_b[:2] / x_b[2])
 
 
 def test_same_camera_twice_has_coincident_centers():
