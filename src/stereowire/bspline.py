@@ -64,16 +64,26 @@ def _find_spans(knots: np.ndarray, p: int, ts: np.ndarray) -> np.ndarray:
     return np.where(ts < hi, np.searchsorted(knots, ts, side="right"), right_end) - 1
 
 
-def _basis_funs(knots: np.ndarray, p: int, ts: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """The p+1 nonzero basis values: row k holds B_(s-p+k, p)(t) for each t and its span s."""
+def _basis_levels(knots: np.ndarray, p: int, ts: np.ndarray, spans: np.ndarray) -> list[np.ndarray]:
+    """Every level of the triangle: level j, (j+1, n), holds B_(s-j+k, j)(t) in row k.
+
+    Level j reads only the knots t_(s+1-j) .. t_(s+j), so it is the degree-j
+    triangle's last level, bit for bit, on any knots that share them.
+    """
     window = knots[spans + np.arange(1 - p, p + 1)[:, None]]  # t_(s+1-p) .. t_(s+p)
     left, right = ts - window[p - 1::-1], window[p:] - ts  # row j-1: t - t_(s+1-j), t_(s+j) - t
-    N = np.ones((1, ts.size))
+    levels = [np.ones((1, ts.size))]
     for j in range(1, p + 1):  # every r of level j at once, in the triangle's order
-        tmp = N / (right[:j] + left[j - 1::-1])
+        tmp = levels[-1] / (right[:j] + left[j - 1::-1])
         N = np.concatenate([np.zeros((1, ts.size)), left[j - 1::-1] * tmp])
         N[:j] += right[:j] * tmp
-    return N
+        levels.append(N)
+    return levels
+
+
+def _basis_funs(knots: np.ndarray, p: int, ts: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The p+1 nonzero basis values: row k holds B_(s-p+k, p)(t) for each t and its span s."""
+    return _basis_levels(knots, p, ts, spans)[p]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +134,12 @@ class BSplineCurve:
         every frame kernel, computed once per curve.
 
         On s, C(t) = sum_k coef[s, k] x^k with x = (t - lo[s]) / (hi[s] - lo[s]),
-        Taylor terms C^(k)(lo) (hi - lo)^k / k!. C^(k) is the kernel's value of the
-        k-th hodograph's control points P'_i = d (P_(i+1) - P_i) / (t_(i+d+1) - t_(i+1)),
-        differenced from degree d = p down (The NURBS Book 3.3). bezier[:, s] holds
+        Taylor terms C^(k)(lo) (hi - lo)^k / k!. C^(k) has the control points
+        P'_i = d (P_(i+1) - P_i) / (t_(i+d+1) - t_(i+1)), differenced from degree
+        d = p down (The NURBS Book 3.3), on the knots trimmed by k at each end. Its
+        basis at every lo is level d of one degree-p triangle (_basis_levels), so
+        C^(k)(lo) is the kernel's value of that hodograph curve bit for bit, while
+        the triangle runs once rather than p+1 times. bezier[:, s] holds
         the span's p+1 Bezier points bernstein_matrix(p) @ coef[s], from its start
         to its end, control index first; their convex hull holds it (The NURBS Book
         5.1), and so does its bounding box from box[0, :, s] to box[1, :, s].
@@ -134,10 +147,12 @@ class BSplineCurve:
         p, cp, knots = self.degree, self.control_points, self.knots
         s = p + np.flatnonzero(np.diff(knots)[p:knots.size - 1 - p] > 0)
         lo, hi = knots[s], knots[s + 1]
+        levels = _basis_levels(knots, p, lo, s)
         coef, kn = [], knots
         for k in range(p + 1):
-            d = p - k  # the degree of C^(k)
-            coef.append(_eval(cp, kn, d, lo) * ((hi - lo) ** k / math.factorial(k))[:, None])
+            d = p - k  # the degree of C^(k), whose basis at lo is level d
+            scale = (hi - lo) ** k / math.factorial(k)
+            coef.append(_combine(levels[d], cp, s - p) * scale[:, None])
             if d:  # its hodograph on the inner knots, 0 over an empty span
                 width = (kn[d + 1:-1] - kn[1:len(cp)])[:, None]
                 diff = d * np.diff(cp, axis=0)
@@ -175,10 +190,15 @@ def eval_curve_many(curve: BSplineCurve, ts: np.ndarray) -> np.ndarray:
 def _eval(cp: np.ndarray, knots: np.ndarray, p: int, ts: np.ndarray) -> np.ndarray:
     """The kernel of eval_curve_many, for parameters already in the domain."""
     spans = _find_spans(knots, p, ts)
-    N = _basis_funs(knots, p, ts, spans)[:, :, None]
-    ctrl = cp[spans + np.arange(-p, 1)[:, None]]
+    return _combine(_basis_funs(knots, p, ts, spans), cp, spans - p)
+
+
+def _combine(N: np.ndarray, cp: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """(n, dim) sums sum_k N[k] cp[first + k], added in the order of k."""
+    N = N[:, :, None]
+    ctrl = cp[first + np.arange(len(N))[:, None]]
     out = N[0] * ctrl[0]
-    for k in range(1, p + 1):
+    for k in range(1, len(N)):
         out += N[k] * ctrl[k]
     return out
 

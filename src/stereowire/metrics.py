@@ -82,21 +82,33 @@ def squared_distance_table(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def discrete_frechet(P: np.ndarray, Q: np.ndarray) -> float:
-    """Discrete Frechet distance between two point sequences.
+    """Discrete Frechet distance between two point sequences of one dimension.
 
-    The coupling DP is filled one anti-diagonal i + j = k at a time; min
-    and max are exact, so the result does not depend on the fill order.
-    Cells of one anti-diagonal lie m apart in the flattened tables, so
-    each is a strided slice.
+    Every coupling visits each row and each column of the distance table d
+    and both corners, so max(d[0, 0], d[-1, -1], the row minima, the column
+    minima) is a lower bound. When the cells within it hold a coupling
+    (_coupled), the distance is that bound: min and max are exact, so it is
+    the DP's value bit for bit. Otherwise the coupling DP runs, filled one
+    anti-diagonal i + j = k at a time; the result does not depend on the
+    fill order. Cells of one anti-diagonal lie m apart in the flattened
+    tables, so each is a strided slice. A NaN distance gives NaN. Raises
+    ValueError when a sequence is empty or the two differ in dimension.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    if P.size == 0 or Q.size == 0 or np.atleast_2d(P).shape[1:] != np.atleast_2d(Q).shape[1:]:
+        raise ValueError(f"need two non-empty point sequences of one dimension, "
+                         f"got shapes {P.shape} and {Q.shape}")
+    P, Q = np.atleast_2d(P), np.atleast_2d(Q)
     n, m = len(P), len(Q)
+    table = np.sqrt(squared_distance_table(P, Q))
+    bound = np.max((table[0, 0], table[-1, -1], table.min(axis=1).max(), table.min(axis=0).max()))
+    if _coupled(table <= bound):
+        return float(bound)
     # both tables shifted by one: ca has an inf border and -inf at the
     # corner, so ca[1, 1] = d[0, 0]
     w = m + 1
     d = np.zeros((n + 1, w))
-    d[1:, 1:] = np.sqrt(squared_distance_table(P, Q))
+    d[1:, 1:] = table
     d = d.ravel()
     ca = np.full((n + 1) * w, np.inf)
     ca[0] = -np.inf
@@ -108,6 +120,27 @@ def discrete_frechet(P: np.ndarray, Q: np.ndarray) -> float:
                           ca[a - 1:b - 1:m])
         np.maximum(prev, d[a:b:m], out=ca[a:b:m])
     return float(ca[-1])
+
+
+def _coupled(free: np.ndarray) -> bool:
+    """Whether the (n, m) boolean table holds a monotone path of True cells, each step
+    one right, down or diagonal, from (0, 0) to (n - 1, m - 1) (Alt and Godau 1995).
+
+    Row i is a Python int whose bit j is cell (i, j). The cells reached from the
+    row before, j and j + 1 for each reached j, seed the row; adding the seeds to
+    the free bits carries each seed up to the end of its run of free cells.
+    """
+    packed = np.packbits(free, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    seed = 1  # (0, 0) alone seeds row 0
+    for start in range(0, len(data), width):
+        bits = int.from_bytes(data[start:start + width], "little")
+        seed &= bits
+        reached = seed | ((seed + bits) ^ bits) & bits
+        seed = reached | reached << 1
+        if not seed:
+            return False
+    return bool(reached >> (free.shape[1] - 1) & 1)
 
 
 def curve_metrics(pred: BSplineCurve, truth: BSplineCurve, n: int = 64) -> CurveMetrics:

@@ -10,9 +10,12 @@ point-to-curve distance: the exact per-span nearest point, searched only on
 the spans whose bounding box lies within the distance to the sample's own
 curve point C(u). The intersection and the residual read one span table per
 curve (BSplineCurve.power_spans: power form, Bezier points and boxes) and
-find their roots with one real-root finder in Python floats: Descartes'
-rule of signs on Bernstein coefficients, then guarded Newton on each
-bracketed root.
+find their roots with one real-root finder: Descartes' rule of signs on
+Bernstein coefficients, then guarded Newton on each bracketed root. The
+residual solves its spans with one sign change, nearly all, in lockstep in
+numpy arrays, the same steps bit for bit; its other spans and the epilines'
+one or two spans per call, where numpy's per-call cost would exceed the
+loop's, take the finder in Python floats.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ REPROJ_GATE_PX = 25.0
 # above the 9-significant-digit precision pixels are written with, so the
 # epiline of one view's end sample still meets the other view's end point
 ON_LINE_PX = 1e-5
+# with this many live rows or fewer, _bracket_roots hands them to the scalar loop:
+# a lockstep step costs about as much as eight rows' own scalar steps
+LOCKSTEP_ROWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +130,14 @@ def _value_and_slope(coef: list[float], x: float) -> tuple[float, float]:
     return f, df
 
 
-def _bracket_root(coef: list[float], a: float, fa: float, b: float, fb: float) -> float:
+def _bracket_root(coef: list[float], a: float, fa: float, b: float, fb: float,
+                  x: float | None = None) -> float:
     """The one root of f in [a, b], where fa = f(a) and fb = f(b) differ in sign: Newton from
-    regula falsi, bisecting where a step would leave the shrinking bracket, until a step
-    would move x by at most 2 ulps or no float lies inside the bracket."""
-    x = a - fa * (b - a) / (fb - fa)
+    regula falsi (or from the iterate x in the bracket, to resume a search), bisecting where
+    a step would leave the shrinking bracket, until a step would move x by at most 2 ulps or
+    no float lies inside the bracket."""
+    if x is None:
+        x = a - fa * (b - a) / (fb - fa)
     while True:
         f, df = _value_and_slope(coef, x)
         if f == 0.0:
@@ -140,6 +149,46 @@ def _bracket_root(coef: list[float], a: float, fa: float, b: float, fb: float) -
         if not a < x_new < b or abs(x_new - x) <= 2.0 * math.ulp(x):
             return x
         x = x_new
+
+
+def _bracket_roots(coef: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """_bracket_root on [0, 1] for every row of coef at once, bit for bit: fa and fb hold
+    each row's nonzero f(0) and f(1) of opposite signs.
+
+    The rows run in lockstep by the same Horner order, bracket and step rules, with
+    np.spacing(|x|) for math.ulp(x); each row leaves the batch at the step where
+    _bracket_root would return. From LOCKSTEP_ROWS live rows down, _bracket_root resumes
+    each row from its iterate and bracket.
+    """
+    # negating a row negates f and f' exactly and leaves its steps as they are, so every
+    # row may start positive at 0, and the bracket's left end moves where f > 0
+    sign = np.where(fa < 0.0, -1.0, 1.0)
+    c, fa, fb = (coef * sign[:, None]).T.copy(), fa * sign, fb * sign
+    a, b = np.zeros(len(fa)), np.ones(len(fa))
+    x = a - fa * (b - a) / (fb - fa)
+    live, out = np.arange(len(fa)), np.empty(len(fa))
+    # a zero df steps to +-inf, which bisects as _bracket_root's step to a does; 0 / 0
+    # steps to NaN, which bisects too, and its row stops on f == 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while live.size > LOCKSTEP_ROWS:
+            f, df = c[-1], np.zeros(live.size)
+            for ck in c[-2::-1]:
+                f, df = f * x + ck, df * x + f
+            moves_a = f > 0.0
+            a, b = np.where(moves_a, x, a), np.where(moves_a, b, x)
+            x_new = x - f / df
+            x_new = np.where((a < x_new) & (x_new < b), x_new, 0.5 * (a + b))
+            stop = ((f == 0.0) | ~((a < x_new) & (x_new < b))
+                    | (np.abs(x_new - x) <= 2.0 * np.spacing(np.abs(x))))
+            if np.count_nonzero(stop):
+                out[live[stop]] = x[stop]
+                go = ~stop
+                live, c, x, a, b = live[go], c[:, go], x_new[go], a[go], b[go]
+            else:
+                x = x_new
+    for i, row, xi, ai, bi in zip(live.tolist(), c.T.tolist(), x.tolist(), a.tolist(), b.tolist()):
+        out[i] = _bracket_root(row, ai, 1.0, bi, -1.0, xi)
+    return out
 
 
 def _real_roots(coef: list[float], bern: list[float], tol: float) -> list[float]:
@@ -287,8 +336,9 @@ def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray, params) ->
     Exact per-span nearest point (The NURBS Book 6.1): C(u), a span end, or a
     root of g(x) = C'(x).(C(x) - q), on the spans whose cached bounding box
     (BSplineCurve.power_spans) lies within |q - C(u)| of q. Of these (point,
-    span) pairs, _real_roots solves those whose g has Bernstein coefficients on
-    both sides of 0, about one per point.
+    span) pairs, those whose g has Bernstein coefficients on both sides of 0,
+    about one per point, are solved: _bracket_roots solves those with one sign
+    change and nonzero ends at once, _real_roots each other one.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     p = curve.degree
@@ -308,9 +358,16 @@ def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray, params) ->
             g[:, i:i + p + 1] += (i + 1) * np.sum(r[:, i + 1, None] * r, axis=-1)
         bern = np.sum(g[:, None] * bernstein_matrix(2 * p - 1), axis=-1)
         cross = ((bern.min(axis=1) < 0.0) & (bern.max(axis=1) > 0.0)).nonzero()[0]
-        roots = [_real_roots(a, b, 0.0) for a, b in zip(g[cross].tolist(), bern[cross].tolist())]
-        rows = np.repeat(cross, [len(xs) for xs in roots])
-        r, x = r[rows], np.array([x for xs in roots for x in xs])[:, None]
+        g, bern = g[cross], bern[cross]
+        # Descartes' one-root case of _real_roots: nonzero ends, one sign change
+        flip = np.where(bern[:, :1] < 0.0, -bern, bern)
+        once = ((flip[:, 0] > 0.0) & (flip[:, -1] < 0.0)
+                & ~np.any(np.logical_or.accumulate(flip < 0.0, axis=1) & (flip > 0.0), axis=1))
+        roots = [_real_roots(a, b, 0.0) for a, b in zip(g[~once].tolist(), bern[~once].tolist())]
+        rows = np.concatenate([cross[once], np.repeat(cross[~once], [len(xs) for xs in roots])])
+        x = np.concatenate([_bracket_roots(g[once], bern[once, 0], bern[once, -1]),
+                            [x for xs in roots for x in xs]])[:, None]
+        r = r[rows]
         diff = r[:, p]
         for k in range(p - 1, -1, -1):
             diff = diff * x + r[:, k]

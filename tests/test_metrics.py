@@ -4,6 +4,7 @@ import pytest
 from stereowire.bspline import fit_curve
 from stereowire.metrics import (
     Episode,
+    _coupled,
     curve_metrics,
     discrete_frechet,
     episode_metrics,
@@ -78,19 +79,91 @@ def test_frechet_matches_memo_oracle_exactly(rng):
             assert discrete_frechet(P, Q) == frechet_memo_oracle(P, Q)
 
 
+def frechet_lower_bound(P, Q):
+    """max(d[0, 0], d[-1, -1], row minima, column minima): every coupling's cost is at least this."""
+    d = np.sqrt(np.sum((P[:, None, :] - Q[None, :, :]) ** 2, axis=2))
+    return max(d[0, 0], d[-1, -1], d.min(axis=1).max(), d.min(axis=0).max())
+
+
+def on_one_curve(t):
+    return np.column_stack([30.0 * np.cos(3.0 * t), 40.0 * t, 20.0 * np.sin(2.0 * t)])
+
+
 def test_frechet_wavefront_equals_double_loop(rng):
     # single-row and single-column tables first: strides of 1 and 0 cells
     sizes = [(1, 1), (1, 2), (2, 1), (1, 9)]
     sizes += [tuple(rng.choice(np.arange(1, 90), size=2, replace=False)) for _ in range(40)]
-    for n, m in sizes:
+    pairs = []
+    for n, m in sizes:  # random walks: the bound fails on some
+        pairs.append((np.cumsum(rng.normal(size=(n, 3)), axis=0),
+                      np.cumsum(rng.normal(size=(m, 3)), axis=0)))
+    for n in rng.integers(2, 90, 10):  # a noisy copy, n = m: the bound holds
         P = np.cumsum(rng.normal(size=(n, 3)), axis=0)
-        Q = np.cumsum(rng.normal(size=(m, 3)), axis=0)
-        assert discrete_frechet(P, Q) == frechet_loop_oracle(P, Q)
+        pairs.append((P, P + rng.normal(size=P.shape) * 1e-3))
+    for n, m in rng.choice(np.arange(2, 90), size=(10, 2), replace=False):
+        # two samplings of one curve, n != m: the bound holds
+        s, u = (np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, k - 2)), [1.0]]) for k in (n, m))
+        pairs.append((on_one_curve(s), on_one_curve(u) + rng.normal(size=(m, 3)) * 1e-3))
+    at_bound = []
+    for P, Q in pairs:
+        got = discrete_frechet(P, Q)
+        assert got == frechet_loop_oracle(P, Q)
         assert discrete_frechet(Q, P) == frechet_loop_oracle(Q, P)
+        at_bound.append(got == frechet_lower_bound(P, Q))
         # the per-coordinate table is the broadcast sum bit for bit, in 3D and in 2D
         for A, B in ((P, Q), (P[:, :2], Q[:, :2])):
             want = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2)
             assert np.array_equal(squared_distance_table(A, B), want)
+    assert all(at_bound[-20:])  # the noisy copies and the two samplings
+    assert 5 <= sum(not hit for hit in at_bound[:-20])  # the DP ran on these walks
+
+
+def reachable_oracle(free):
+    """Cell-by-cell reachability of (n-1, m-1) from (0, 0) by right, down and diagonal steps."""
+    n, m = free.shape
+    reach = np.zeros((n, m), dtype=bool)
+    for i in range(n):
+        for j in range(m):
+            before = (i == j == 0 or (i > 0 and reach[i - 1, j]) or (j > 0 and reach[i, j - 1])
+                      or (i > 0 and j > 0 and reach[i - 1, j - 1]))
+            reach[i, j] = free[i, j] and before
+    return bool(reach[-1, -1])
+
+
+def test_coupling_check_is_reachability(rng):
+    # word-sized rows and their neighbours, then random sizes up to 70 x 70
+    sizes = [(1, 1), (1, 70), (70, 1), (63, 64), (64, 64), (65, 65), (64, 65), (70, 70)]
+    sizes += [tuple(rng.integers(1, 71, 2)) for _ in range(150)]
+    outcomes = []
+    for n, m in sizes:
+        for density in (0.55, 0.8, 0.95):
+            free = rng.uniform(size=(n, m)) < density
+            if rng.uniform() < 0.8:  # mostly free corners, so the path is the question
+                free[0, 0] = free[-1, -1] = True
+            want = reachable_oracle(free)
+            assert _coupled(free) == want, (n, m, density)
+            outcomes.append(want)
+    assert 100 < sum(outcomes) < len(outcomes) - 100
+    # a path that needs every step kind, across the 64-bit word boundary
+    free = np.zeros((4, 130), dtype=bool)
+    free[0, :63] = free[1, 63:66] = free[2, 66] = free[3, 66:] = True
+    assert _coupled(free) and not _coupled(free[:, :129][::-1])
+
+
+def test_frechet_refuses_empty_and_mismatched_sequences():
+    Q = np.zeros((4, 3))
+    for P, B in (([], []), (np.zeros((0, 3)), Q), (Q, np.zeros((0, 3))), (Q, np.zeros((4, 2))),
+                 (np.zeros((5, 2)), Q), (np.zeros((2, 0)), np.zeros((2, 0)))):
+        with pytest.raises(ValueError) as info:
+            discrete_frechet(P, B)
+        assert str(np.shape(P)) in str(info.value) and str(np.shape(B)) in str(info.value)
+    # a NaN distance is NaN and an infinite one inf, as the DP gives them
+    P = np.cumsum(np.ones((6, 3)), axis=0)
+    for value, want in ((np.nan, np.isnan), (np.inf, np.isposinf)):
+        for k in (0, 3, 5):
+            R = P.copy()
+            R[k, 1] = value
+            assert want(discrete_frechet(R, P)) and want(discrete_frechet(P, R))
 
 
 def test_frechet_bounded_below_by_end_pairs(rng):

@@ -389,6 +389,74 @@ def test_root_rules_on_chosen_roots(p):
     assert unit_roots_of(np.zeros(p + 1)) == [0.0, 1.0]
 
 
+def one_change_rows(rng, p, count):
+    """count power-coefficient rows of degree p, each with nonzero ends of opposite signs
+    and one sign change in its Bernstein coefficients (taken as the residual takes them),
+    with a root anywhere in (0, 1) or within a few ulps of an end."""
+    rows = []
+    while len(rows) < count:
+        kind = rng.integers(3)
+        if kind == 0:
+            root = rng.uniform(0.0, 1.0)
+        else:  # a few ulps from 0 or from 1
+            ulps = int(rng.integers(1, 6))
+            root = ulps * 5e-324 if kind == 1 else 1.0 - ulps * 2.0 ** -53
+        others = rng.choice([-1.0, 1.0], p - 1) * rng.uniform(0.05, 3.0, p - 1)
+        others += np.where(others > 0.0, 1.0, 0.0)  # outside [0, 1]
+        c = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3) * P.polyfromroots([root, *others])
+        if rng.uniform() < 0.2:  # or any coefficients at all
+            c = rng.normal(size=p + 1) * 10.0 ** rng.uniform(-3, 3, p + 1)
+        bern = np.sum(c[None, None] * bernstein_matrix(p), axis=-1)[0]
+        signs = np.sign(bern[bern != 0.0])
+        if bern[0] * bern[-1] < 0.0 and np.count_nonzero(np.diff(signs)) == 1:
+            rows.append((c, bern[0], bern[-1]))
+    return rows
+
+
+@pytest.mark.parametrize("lockstep_rows", [0, stereo.LOCKSTEP_ROWS])
+def test_lockstep_roots_are_the_scalar_roots(monkeypatch, lockstep_rows):
+    # every row in lockstep to the end, and with the last few rows handed back
+    monkeypatch.setattr(stereo, "LOCKSTEP_ROWS", lockstep_rows)
+    rng = np.random.default_rng(31)
+    # an iterate where f == 0: Newton reaches the root 0.5 of (x - 0.5)(x^2 + 1),
+    # whose Bernstein coefficients hold a 0, exactly
+    exact_root = np.array([-0.5, 1.0, -0.5, 1.0])
+    # a step where df == 0: regula falsi lands on x = 0.5, where f = -2, f' = 0
+    flat_step = np.array([-1.0, -2.0, -4.0, 8.0])
+    # and one where x - f would stay in the bracket: at x = 0.5, f = -1/8, f' = 0
+    flat_inside = np.array([-1.0, 5.5, -11.5, 8.0])
+    special = [(c, P.polyval(0.0, c), P.polyval(1.0, c)) for c in (exact_root, flat_step, flat_inside)]
+    value_and_slope, visits = stereo._value_and_slope, []
+
+    def spy(coef, x):
+        visits.append(value_and_slope(coef, x))
+        return visits[-1]
+
+    monkeypatch.setattr(stereo, "_value_and_slope", spy)
+    assert stereo._bracket_root(exact_root.tolist(), 0.0, -0.5, 1.0, 1.0) == 0.5
+    assert visits[-1][0] == 0.0
+    for c, f in ((flat_step, -2.0), (flat_inside, -0.125)):
+        visits.clear()
+        stereo._bracket_root(c.tolist(), 0.0, -1.0, 1.0, 1.0)
+        assert visits[0] == (f, 0.0)
+    monkeypatch.setattr(stereo, "_value_and_slope", value_and_slope)
+    total = 0
+    for p in (1, 2, 3, 4, 5):
+        rows = one_change_rows(rng, p, 440)
+        if p == 3:
+            rows[5:5] = special
+        for batch in (rows[:3], rows[3:300], rows[300:]):  # one batch below LOCKSTEP_ROWS
+            coef = np.array([c for c, _, _ in batch])
+            fa, fb = np.array([f for _, f, _ in batch]), np.array([f for _, _, f in batch])
+            got = stereo._bracket_roots(coef, fa, fb)
+            want = [stereo._bracket_root(c.tolist(), 0.0, f0, 1.0, f1) for c, f0, f1 in batch]
+            assert got.tolist() == want and np.array_equal(np.signbit(got), np.signbit(want))
+            total += len(batch)
+        roots = np.array([stereo._bracket_root(c.tolist(), 0.0, f0, 1.0, f1) for c, f0, f1 in rows])
+        assert np.any(roots < 1e-300) and np.any(roots == 1.0 - 2.0 ** -53), p  # at both ends
+    assert total >= 2000
+
+
 def synth_frame(out, seed, noise):
     """Cameras and annotation splines of a synth frame written to out."""
     assert main(["synth", "--out", str(out), "--seed", str(seed), "--noise-px", str(noise)]) == 0
