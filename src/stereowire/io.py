@@ -9,12 +9,12 @@ locale.
 The writer formats each float array (a float64 ndarray of one or two
 dimensions, an all-float list, or a list of equally long all-float rows) in
 one '%.9g' pass straight into a template of its final layout. A '%.9g'
-token can differ from that repr only for a value near an integer, of
-magnitude below 1e-4 or of about 1e8 and more, or not finite
-(_needs_repr); only an array holding such a value takes the repr repair of
-_float_tokens. A knot vector always does, since a clamped one starts at 0
-and ends at 1, which '%.9g' writes as '0' and '1' where repr writes '0.0'
-and '1.0'.
+token can differ from that repr only for a value near an integer (which
+takes in zero, subnormals and every value of about 1e8 and more) or not
+finite (_needs_repr); only an array holding such a value takes the repr
+repair of _float_tokens. A knot vector always does, since a clamped one
+starts at 0 and ends at 1, which '%.9g' writes as '0' and '1' where repr
+writes '0.0' and '1.0'.
 """
 
 from __future__ import annotations
@@ -60,15 +60,17 @@ def _float_tokens(values: tuple) -> list[str]:
 def _needs_repr(arr: np.ndarray) -> bool:
     """Whether some value of arr may get a '%.9g' token other than its repr.
 
-    A finite value of magnitude in [1e-4, 99999999) is printed positionally
-    with a digit after the point, and '%.9g' drops that point only when the
-    value lies within half a unit of its 9th significant digit of an
+    A normal value below 1e-4 prints in exponent form under both, and a value
+    that '%.9g' prints positionally with a digit after the point is its own
+    repr (_float_tokens), so their tokens agree. Every other finite value
+    (zero, a subnormal, a value of 1e8 or more, one that '%.9g' prints without
+    its point) lies within half a unit of its 9th significant digit of an
     integer: within 0.5e-8 * |v|, or 0.5e-8 below 1. The 1e-8 bound below
-    flags those with a factor of two to spare. Any other value (zero, a
-    subnormal, 1e-5, 1e9, inf, nan, which fails every comparison) is flagged.
+    flags those with a factor of two to spare. A value that is not finite is
+    flagged first, so inf - rint(inf) is never taken.
     """
     mag = np.abs(arr)
-    if not (mag.min(initial=np.inf) >= 1e-4 and mag.max(initial=0.0) < 99999999.0):
+    if not np.isfinite(mag).all():
         return True
     return not (np.abs(mag - np.rint(mag)) > 1e-8 * np.maximum(mag, 1.0)).all()
 

@@ -8,6 +8,7 @@ uniform parameter grids (n equal steps over each evaluation domain).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,42 +85,28 @@ def squared_distance_table(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def discrete_frechet(P: np.ndarray, Q: np.ndarray) -> float:
     """Discrete Frechet distance between two point sequences of one dimension.
 
-    Every coupling visits each row and each column of the distance table d
-    and both corners, so max(d[0, 0], d[-1, -1], the row minima, the column
-    minima) is a lower bound. When the cells within it hold a coupling
-    (_coupled), the distance is that bound: min and max are exact, so it is
-    the DP's value bit for bit. Otherwise the coupling DP runs, filled one
-    anti-diagonal i + j = k at a time; the result does not depend on the
-    fill order. Cells of one anti-diagonal lie m apart in the flattened
-    tables, so each is a strided slice. A NaN distance gives NaN. Raises
-    ValueError when a sequence is empty or the two differ in dimension.
+    The distance is the least entry e of the distance table d whose cells d <= e
+    hold a coupling (_coupled, the free-space decision test of Alt and Godau
+    1995); the test's answer only grows with e. Every coupling visits each row
+    and each column of d and both corners, so max(d[0, 0], d[-1, -1], the row
+    minima, the column minima) is a lower bound, tested first; when it fails,
+    a binary search over the sorted distinct entries above it finds e. A NaN
+    distance gives NaN. Raises ValueError when a sequence is empty or the two
+    differ in dimension.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     if P.size == 0 or Q.size == 0 or np.atleast_2d(P).shape[1:] != np.atleast_2d(Q).shape[1:]:
         raise ValueError(f"need two non-empty point sequences of one dimension, "
                          f"got shapes {P.shape} and {Q.shape}")
     P, Q = np.atleast_2d(P), np.atleast_2d(Q)
-    n, m = len(P), len(Q)
     table = np.sqrt(squared_distance_table(P, Q))
     bound = np.max((table[0, 0], table[-1, -1], table.min(axis=1).max(), table.min(axis=0).max()))
-    if _coupled(table <= bound):
+    if np.isnan(bound) or _coupled(table <= bound):
         return float(bound)
-    # both tables shifted by one: ca has an inf border and -inf at the
-    # corner, so ca[1, 1] = d[0, 0]
-    w = m + 1
-    d = np.zeros((n + 1, w))
-    d[1:, 1:] = table
-    d = d.ravel()
-    ca = np.full((n + 1) * w, np.inf)
-    ca[0] = -np.inf
-    for k in range(n + m - 1):
-        i0, i1 = max(0, k - m + 1), min(n, k + 1)
-        a = w + 1 + k + i0 * m  # cell (i0, k - i0), shifted
-        b = a + (i1 - i0 - 1) * m + 1
-        prev = np.minimum(np.minimum(ca[a - w:b - w:m], ca[a - w - 1:b - w - 1:m]),
-                          ca[a - 1:b - 1:m])
-        np.maximum(prev, d[a:b:m], out=ca[a:b:m])
-    return float(ca[-1])
+    # the first entry above the bound whose cells hold a coupling; the largest
+    # entry frees every cell, so there is one
+    above = np.unique(table[table > bound])
+    return float(above[bisect.bisect_left(above, True, key=lambda e: _coupled(table <= e))])
 
 
 def _coupled(free: np.ndarray) -> bool:

@@ -10,12 +10,13 @@ point-to-curve distance: the exact per-span nearest point, searched only on
 the spans whose bounding box lies within the distance to the sample's own
 curve point C(u). The intersection and the residual read one span table per
 curve (BSplineCurve.power_spans: power form, Bezier points and boxes) and
-find their roots with one real-root finder: Descartes' rule of signs on
-Bernstein coefficients, then guarded Newton on each bracketed root. The
-residual solves its spans with one sign change, nearly all, in lockstep in
-numpy arrays, the same steps bit for bit; its other spans and the epilines'
-one or two spans per call, where numpy's per-call cost would exceed the
-loop's, take the finder in Python floats.
+find their roots with one real-root finder: _real_roots isolates them by
+Descartes' rule of signs on Bernstein coefficients, recursing on the
+derivative, and _bracket_root refines each bracketed root by guarded Newton
+in Python floats. The residual's spans with one sign change, nearly all, are
+refined instead by _bracket_roots, every row in lockstep in numpy arrays by
+the same steps, bit for bit; the epilines' one or two spans per call, where
+numpy's per-call cost would exceed the loop's, stay in Python floats.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ REPROJ_GATE_PX = 25.0
 # above the 9-significant-digit precision pixels are written with, so the
 # epiline of one view's end sample still meets the other view's end point
 ON_LINE_PX = 1e-5
-# with this many live rows or fewer, _bracket_roots hands them to the scalar loop:
-# a lockstep step costs about as much as eight rows' own scalar steps
-LOCKSTEP_ROWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +128,25 @@ def _value_and_slope(coef: list[float], x: float) -> tuple[float, float]:
     return f, df
 
 
-def _bracket_root(coef: list[float], a: float, fa: float, b: float, fb: float,
-                  x: float | None = None) -> float:
-    """The one root of f in [a, b], where fa = f(a) and fb = f(b) differ in sign: Newton from
-    regula falsi (or from the iterate x in the bracket, to resume a search), bisecting where
-    a step would leave the shrinking bracket, until a step would move x by at most 2 ulps or
-    no float lies inside the bracket."""
-    if x is None:
-        x = a - fa * (b - a) / (fb - fa)
+def _bracket_root(coef: list[float], a: float, fa: float, b: float, fb: float) -> float:
+    """The one root of f in [a, b], where fa = f(a) and fb = f(b) differ in sign.
+
+    Newton from regula falsi in a shrinking bracket: x is returned when f(x) == 0,
+    when the Newton step moves it by at most 2 ulps, or when the step leaves the
+    bracket (or f'(x) == 0) and the bisection that replaces it would move x by at
+    most 2 ulps or finds no float inside the bracket. A step that rounds to no
+    move lands on the bracket end just set to x, so the 2-ulp test comes first.
+    """
+    x = a - fa * (b - a) / (fb - fa)
     while True:
         f, df = _value_and_slope(coef, x)
         if f == 0.0:
             return x
         a, b = (x, b) if (f < 0.0) == (fa < 0.0) else (a, x)
-        x_new = x - f / df if df != 0.0 else a
-        if not a < x_new < b:
-            x_new = 0.5 * (a + b)
-        if not a < x_new < b or abs(x_new - x) <= 2.0 * math.ulp(x):
+        newton = x - f / df if df != 0.0 else math.inf
+        x_new = newton if a < newton < b else 0.5 * (a + b)
+        ulps = 2.0 * math.ulp(x)
+        if abs(newton - x) <= ulps or not a < x_new < b or abs(x_new - x) <= ulps:
             return x
         x = x_new
 
@@ -157,8 +157,7 @@ def _bracket_roots(coef: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarr
 
     The rows run in lockstep by the same Horner order, bracket and step rules, with
     np.spacing(|x|) for math.ulp(x); each row leaves the batch at the step where
-    _bracket_root would return. From LOCKSTEP_ROWS live rows down, _bracket_root resumes
-    each row from its iterate and bracket.
+    _bracket_root would return, and the batch runs until no row is left.
     """
     # negating a row negates f and f' exactly and leaves its steps as they are, so every
     # row may start positive at 0, and the bracket's left end moves where f > 0
@@ -167,27 +166,26 @@ def _bracket_roots(coef: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarr
     a, b = np.zeros(len(fa)), np.ones(len(fa))
     x = a - fa * (b - a) / (fb - fa)
     live, out = np.arange(len(fa)), np.empty(len(fa))
-    # a zero df steps to +-inf, which bisects as _bracket_root's step to a does; 0 / 0
+    # a zero df steps to +-inf, which bisects as _bracket_root's step to inf does; 0 / 0
     # steps to NaN, which bisects too, and its row stops on f == 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while live.size > LOCKSTEP_ROWS:
+        while live.size:
             f, df = c[-1], np.zeros(live.size)
             for ck in c[-2::-1]:
                 f, df = f * x + ck, df * x + f
             moves_a = f > 0.0
             a, b = np.where(moves_a, x, a), np.where(moves_a, b, x)
-            x_new = x - f / df
-            x_new = np.where((a < x_new) & (x_new < b), x_new, 0.5 * (a + b))
-            stop = ((f == 0.0) | ~((a < x_new) & (x_new < b))
-                    | (np.abs(x_new - x) <= 2.0 * np.spacing(np.abs(x))))
+            newton = x - f / df
+            x_new = np.where((a < newton) & (newton < b), newton, 0.5 * (a + b))
+            ulps = 2.0 * np.spacing(np.abs(x))
+            stop = ((f == 0.0) | (np.abs(newton - x) <= ulps) | ~((a < x_new) & (x_new < b))
+                    | (np.abs(x_new - x) <= ulps))
             if np.count_nonzero(stop):
                 out[live[stop]] = x[stop]
                 go = ~stop
                 live, c, x, a, b = live[go], c[:, go], x_new[go], a[go], b[go]
             else:
                 x = x_new
-    for i, row, xi, ai, bi in zip(live.tolist(), c.T.tolist(), x.tolist(), a.tolist(), b.tolist()):
-        out[i] = _bracket_root(row, ai, 1.0, bi, -1.0, xi)
     return out
 
 

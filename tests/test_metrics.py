@@ -89,14 +89,15 @@ def on_one_curve(t):
     return np.column_stack([30.0 * np.cos(3.0 * t), 40.0 * t, 20.0 * np.sin(2.0 * t)])
 
 
-def test_frechet_wavefront_equals_double_loop(rng):
-    # single-row and single-column tables first: strides of 1 and 0 cells
+def test_frechet_search_equals_double_loop(rng):
+    # single-row and single-column tables first
     sizes = [(1, 1), (1, 2), (2, 1), (1, 9)]
     sizes += [tuple(rng.choice(np.arange(1, 90), size=2, replace=False)) for _ in range(40)]
     pairs = []
-    for n, m in sizes:  # random walks: the bound fails on some
-        pairs.append((np.cumsum(rng.normal(size=(n, 3)), axis=0),
-                      np.cumsum(rng.normal(size=(m, 3)), axis=0)))
+    for dim in (3, 1):
+        for n, m in sizes:  # random walks: the bound fails on some
+            pairs.append((np.cumsum(rng.normal(size=(n, dim)), axis=0),
+                          np.cumsum(rng.normal(size=(m, dim)), axis=0)))
     for n in rng.integers(2, 90, 10):  # a noisy copy, n = m: the bound holds
         P = np.cumsum(rng.normal(size=(n, 3)), axis=0)
         pairs.append((P, P + rng.normal(size=P.shape) * 1e-3))
@@ -110,12 +111,15 @@ def test_frechet_wavefront_equals_double_loop(rng):
         assert got == frechet_loop_oracle(P, Q)
         assert discrete_frechet(Q, P) == frechet_loop_oracle(Q, P)
         at_bound.append(got == frechet_lower_bound(P, Q))
-        # the per-coordinate table is the broadcast sum bit for bit, in 3D and in 2D
+        # the per-coordinate table is the broadcast sum bit for bit, in 3D, 2D and 1D
         for A, B in ((P, Q), (P[:, :2], Q[:, :2])):
             want = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2)
             assert np.array_equal(squared_distance_table(A, B), want)
     assert all(at_bound[-20:])  # the noisy copies and the two samplings
-    assert 5 <= sum(not hit for hit in at_bound[:-20])  # the DP ran on these walks
+    # the search ran on these walks, in 3D and in 1D
+    walks = len(sizes)
+    assert 5 <= sum(not hit for hit in at_bound[:walks])
+    assert 5 <= sum(not hit for hit in at_bound[walks:2 * walks])
 
 
 def reachable_oracle(free):
@@ -157,7 +161,7 @@ def test_frechet_refuses_empty_and_mismatched_sequences():
         with pytest.raises(ValueError) as info:
             discrete_frechet(P, B)
         assert str(np.shape(P)) in str(info.value) and str(np.shape(B)) in str(info.value)
-    # a NaN distance is NaN and an infinite one inf, as the DP gives them
+    # a NaN distance is NaN and an infinite one inf, as the loop oracle gives them
     P = np.cumsum(np.ones((6, 3)), axis=0)
     for value, want in ((np.nan, np.isnan), (np.inf, np.isposinf)):
         for k in (0, 3, 5):

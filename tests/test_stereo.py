@@ -413,10 +413,10 @@ def one_change_rows(rng, p, count):
     return rows
 
 
-@pytest.mark.parametrize("lockstep_rows", [0, stereo.LOCKSTEP_ROWS])
-def test_lockstep_roots_are_the_scalar_roots(monkeypatch, lockstep_rows):
-    # every row in lockstep to the end, and with the last few rows handed back
-    monkeypatch.setattr(stereo, "LOCKSTEP_ROWS", lockstep_rows)
+@pytest.mark.parametrize("offset", [0, 8])
+def test_lockstep_roots_are_the_scalar_roots(monkeypatch, offset):
+    # the rows rotated left by offset before batching, so each row's root is checked
+    # among other batch-mates: a row's result must not depend on its batch
     rng = np.random.default_rng(31)
     # an iterate where f == 0: Newton reaches the root 0.5 of (x - 0.5)(x^2 + 1),
     # whose Bernstein coefficients hold a 0, exactly
@@ -445,7 +445,8 @@ def test_lockstep_roots_are_the_scalar_roots(monkeypatch, lockstep_rows):
         rows = one_change_rows(rng, p, 440)
         if p == 3:
             rows[5:5] = special
-        for batch in (rows[:3], rows[3:300], rows[300:]):  # one batch below LOCKSTEP_ROWS
+        turned = rows[offset:] + rows[:offset]
+        for batch in (turned[:3], turned[3:300], turned[300:]):  # one batch of three rows
             coef = np.array([c for c, _, _ in batch])
             fa, fb = np.array([f for _, f, _ in batch]), np.array([f for _, _, f in batch])
             got = stereo._bracket_roots(coef, fa, fb)
@@ -455,6 +456,25 @@ def test_lockstep_roots_are_the_scalar_roots(monkeypatch, lockstep_rows):
         roots = np.array([stereo._bracket_root(c.tolist(), 0.0, f0, 1.0, f1) for c, f0, f1 in rows])
         assert np.any(roots < 1e-300) and np.any(roots == 1.0 - 2.0 ** -53), p  # at both ends
     assert total >= 2000
+
+
+def test_a_newton_step_that_rounds_to_no_move_stops(monkeypatch):
+    # near its root 0.9196... f = -1 - 2x - 4x^2 + 8x^3 reaches |f| ~ 4e-16 after 7
+    # evaluations; the next Newton step rounds to no move and lands on the bracket end
+    # just set to x, which must stop the search, not bisect the rest of the bracket
+    c = [-1.0, -2.0, -4.0, 8.0]
+    value_and_slope, visits = stereo._value_and_slope, []
+
+    def spy(coef, x):
+        visits.append(x)
+        return value_and_slope(coef, x)
+
+    monkeypatch.setattr(stereo, "_value_and_slope", spy)
+    root = stereo._bracket_root(c, 0.0, -1.0, 1.0, 1.0)
+    assert len(visits) <= 8
+    assert abs(P.polyval(root, c)) < 1e-15 and 0.9196 < root < 0.9197
+    got = stereo._bracket_roots(np.array([c]), np.array([-1.0]), np.array([1.0]))
+    assert got.tolist() == [root] and not np.signbit(got[0])
 
 
 def synth_frame(out, seed, noise):
