@@ -67,6 +67,8 @@ def _find_spans(knots: np.ndarray, p: int, ts: np.ndarray) -> np.ndarray:
 def _basis_levels(knots: np.ndarray, p: int, ts: np.ndarray, spans: np.ndarray) -> list[np.ndarray]:
     """Every level of the triangle: level j, (j+1, n), holds B_(s-j+k, j)(t) in row k.
 
+    Level p holds the p+1 basis values that are nonzero at each t in its span s.
+
     Level j reads only the knots t_(s+1-j) .. t_(s+j), so it is the degree-j
     triangle's last level, bit for bit, on any knots that share them.
     """
@@ -79,11 +81,6 @@ def _basis_levels(knots: np.ndarray, p: int, ts: np.ndarray, spans: np.ndarray) 
         N[:j] += right[:j] * tmp
         levels.append(N)
     return levels
-
-
-def _basis_funs(knots: np.ndarray, p: int, ts: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """The p+1 nonzero basis values: row k holds B_(s-p+k, p)(t) for each t and its span s."""
-    return _basis_levels(knots, p, ts, spans)[p]
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,13 +181,10 @@ def eval_curve_many(curve: BSplineCurve, ts: np.ndarray) -> np.ndarray:
     outside = ~((ts >= lo - tol) & (ts <= hi + tol))
     if outside.any():
         raise OutOfDomain(f"t={ts[outside][0]} outside [{lo}, {hi}]")
-    return _eval(curve.control_points, curve.knots, curve.degree, np.clip(ts, lo, hi))
-
-
-def _eval(cp: np.ndarray, knots: np.ndarray, p: int, ts: np.ndarray) -> np.ndarray:
-    """The kernel of eval_curve_many, for parameters already in the domain."""
+    ts = np.clip(ts, lo, hi)
+    p, knots = curve.degree, curve.knots
     spans = _find_spans(knots, p, ts)
-    return _combine(_basis_funs(knots, p, ts, spans), cp, spans - p)
+    return _combine(_basis_levels(knots, p, ts, spans)[p], curve.control_points, spans - p)
 
 
 def _combine(N: np.ndarray, cp: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -222,6 +216,8 @@ def basis(i: int, p: int, t: float, knots) -> float:
 def dedupe_points(points: np.ndarray) -> np.ndarray:
     """Drop each vertex within DEDUP_TOL of the last vertex kept before it.
 
+    A vertex is kept unless its distance is <= DEDUP_TOL, so one at a NaN
+    distance (a NaN vertex, or one after it) is kept for the caller to refuse.
     The consecutive gaps settle every vertex whose predecessor is kept in
     one array call; from a gap of at most DEDUP_TOL a loop walks on, measuring
     from the last kept vertex, until it keeps a vertex again.
@@ -233,14 +229,14 @@ def dedupe_points(points: np.ndarray) -> np.ndarray:
     # an overflowing gap is inf, which is kept
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = np.linalg.norm(np.diff(points, axis=0), axis=-1)
-        keep = np.concatenate([[True], gaps > DEDUP_TOL])
+        keep = np.concatenate([[True], ~(gaps <= DEDUP_TOL)])
         resume = 0
         for j in np.flatnonzero(~keep).tolist():
             if j < resume:
                 continue
             last, i = j - 1, j + 1  # j - 1 is kept: a walk ends on a kept vertex
             while i < n:
-                keep[i] = np.linalg.norm(points[i] - points[last], axis=-1) > DEDUP_TOL
+                keep[i] = not np.linalg.norm(points[i] - points[last], axis=-1) <= DEDUP_TOL
                 if keep[i]:
                     break
                 i += 1
@@ -275,8 +271,10 @@ def fit_curve(polyline) -> BSplineCurve:
 
     Consecutive duplicate vertices are removed first (tol 1e-9). Returns a
     BSplineCurve of the input's dimension. Raises TooFewPoints below
-    4 distinct vertices and SolveFailure if the collocation system
-    cannot reproduce the vertices to max(1e-9, 1e-12 max|vertex|).
+    4 distinct vertices, DegenerateCurve for a non-finite vertex (kept by
+    dedupe_points, refused by parameterize_arclength) and SolveFailure if the
+    collocation system cannot reproduce the vertices to
+    max(1e-9, 1e-12 max|vertex|).
     """
     pts = dedupe_points(polyline)
     n = len(pts)
@@ -288,7 +286,7 @@ def fit_curve(polyline) -> BSplineCurve:
     spans = _find_spans(knots, degree, u)
     cols = spans[:, None] - degree + np.arange(degree + 1)
     B = np.zeros((n, n))
-    B[np.arange(n)[:, None], cols] = _basis_funs(knots, degree, u, spans).T
+    B[np.arange(n)[:, None], cols] = _basis_levels(knots, degree, u, spans)[degree].T
     try:
         ctrl = np.linalg.solve(B, pts)
     except np.linalg.LinAlgError as exc:

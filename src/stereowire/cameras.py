@@ -171,7 +171,7 @@ def epiline(F: np.ndarray, x_a) -> np.ndarray:
         raise ValueError("point must be finite")
     l = F @ np.array((u, v, 1.0))
     d = np.hypot(l[0], l[1])  # math.hypot can round the last bit differently
-    if d <= 1e-12 * max(1.0, math.hypot(*l.tolist())) or d == 0.0:
+    if d <= 1e-12 * max(1.0, math.hypot(*l.tolist())):
         raise ZeroLine("epiline is degenerate (point at or near the epipole)")
     return l / d
 

@@ -6,9 +6,9 @@ shortest repr of its 9-significant-digit rounding and a '.' decimal
 separator, so repeated runs produce byte-identical files regardless of
 locale.
 
-The writer formats each float array (a float64 ndarray of one or two
-dimensions, an all-float list, or a list of equally long all-float rows) in
-one '%.9g' pass straight into a template of its final layout. A '%.9g'
+The writer formats each float array, a float64 ndarray of one or two
+dimensions, in one '%.9g' pass straight into a template of its final layout;
+a float list or tuple is encoded item by item to the same text. A '%.9g'
 token can differ from that repr only for a value near an integer (which
 takes in zero, subnormals and every value of about 1e8 and more) or not
 finite (_needs_repr); only an array holding such a value takes the repr
@@ -90,9 +90,9 @@ def _list(items: list[str], pad: str) -> str:
 
 
 def _float_array(arr: np.ndarray, pad: str) -> str:
-    """A 1-D or 2-D float64 array in its final layout: one '%' over a template
-    of that layout, with a '%.9g' cell per value, or '%s' cells taking the
-    repaired tokens of _float_tokens when _needs_repr flags the array."""
+    """A float array (a 1-D or 2-D float64 ndarray) in its final layout: one '%'
+    over a template of that layout, with a '%.9g' cell per value, or '%s' cells
+    taking the repaired tokens of _float_tokens when _needs_repr flags it."""
     values = tuple(arr.ravel().tolist())
     cell = "%.9g"
     if _needs_repr(arr):
@@ -101,29 +101,17 @@ def _float_array(arr: np.ndarray, pad: str) -> str:
     return _list([row] * arr.shape[0], pad) % values
 
 
-def _is_float_array(obj) -> bool:
-    """Whether obj is a float array in the sense of the module docstring."""
-    if type(obj) is np.ndarray:
-        return obj.dtype == np.float64 and obj.ndim in (1, 2)
-    if not isinstance(obj, (list, tuple)) or not obj:
-        return False
-    kinds = set(map(type, obj))
-    if kinds == {float}:
-        return True
-    return kinds <= {list, tuple} and len(set(map(len, obj))) == 1 \
-        and set(map(type, chain.from_iterable(obj))) == {float}
-
-
 def _encode(obj, pad: str) -> str:
     """obj as json.dumps(obj, indent=2) lays it out at the line prefix pad
     (a newline and the enclosing indentation), floats by _float_tokens.
 
-    A float array (see the module docstring) takes _float_array's one pass.
+    A 1-D or 2-D float64 ndarray takes _float_array's one pass; a list or
+    tuple, of floats too, is encoded item by item.
     """
     if isinstance(obj, float):
         return _float_tokens((obj,))[0]
-    if _is_float_array(obj):
-        return _float_array(np.asarray(obj, dtype=float), pad)
+    if type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim in (1, 2):
+        return _float_array(obj, pad)
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -352,10 +340,11 @@ def _report_from_dict(obj: dict, what: str) -> dict:
 # --- episodes ---
 
 def episode_to_dict(ep: Episode) -> dict:
+    """The episode file's object, tip, forces and goal as the episode's own arrays."""
     out = {
-        "tip": ep.tip_positions.tolist(),
-        "forces": ep.forces.tolist(),
-        "goal": ep.goal.tolist(),
+        "tip": ep.tip_positions,
+        "forces": ep.forces,
+        "goal": ep.goal,
         "success": ep.success,
     }
     if ep.max_steps is not None:

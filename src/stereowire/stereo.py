@@ -49,7 +49,8 @@ class MonotoneInterpolant:
     """Piecewise cubic Hermite map, nondecreasing everywhere on [x0, x_last].
 
     Evaluation outside the data span clamps to the endpoint values, which
-    keeps the extension monotone when used as a gap filler.
+    keeps the extension monotone when used as a gap filler. An array t gives
+    an array of its shape, a scalar t a numpy float64.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, d: np.ndarray):
@@ -58,9 +59,7 @@ class MonotoneInterpolant:
         self.d = d
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.clip(np.atleast_1d(t), self.x[0], self.x[-1])
+        tt = np.clip(np.asarray(t, dtype=float), self.x[0], self.x[-1])
         idx = np.clip(np.searchsorted(self.x, tt, side="right") - 1, 0, len(self.x) - 2)
         h = self.x[idx + 1] - self.x[idx]
         s = (tt - self.x[idx]) / h
@@ -70,7 +69,7 @@ class MonotoneInterpolant:
         h11 = s * s * (s - 1)
         out = (h00 * self.y[idx] + h10 * h * self.d[idx]
                + h01 * self.y[idx + 1] + h11 * h * self.d[idx + 1])
-        return float(out[0]) if scalar else out
+        return out[()]
 
 
 def pchip_fit(pairs) -> MonotoneInterpolant:
@@ -78,11 +77,14 @@ def pchip_fit(pairs) -> MonotoneInterpolant:
 
     x must be strictly increasing and y nondecreasing; the derivative on
     any flat interval is zero so the output is constant there. Raises
-    NonMonotoneInput otherwise.
+    NonMonotoneInput otherwise, and for any pair that is not finite (a NaN
+    compares false, so it would pass both order tests).
     """
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     if len(pairs) < 2:
         raise NonMonotoneInput("need at least two pairs")
+    if not np.isfinite(pairs).all():
+        raise NonMonotoneInput("pairs must be finite")
     x, y = pairs[:, 0], pairs[:, 1]
     if np.any(np.diff(x) <= 0):
         raise NonMonotoneInput("x must be strictly increasing")

@@ -5,7 +5,7 @@ import pytest
 
 from stereowire.bspline import (
     BSplineCurve,
-    _basis_funs,
+    _basis_levels,
     _find_spans,
     averaged_knots,
     basis,
@@ -184,7 +184,7 @@ def test_kernel_matches_recursive_basis(rng, p):
         knots = random_repeated_knots(rng, p)
         ts = kernel_params(rng, knots, p)
         spans = _find_spans(knots, p, ts)
-        rows = _basis_funs(knots, p, ts, spans)
+        rows = _basis_levels(knots, p, ts, spans)[p]
         for col, t in enumerate(ts):
             full = np.zeros(n_ctrl(knots, p))
             full[spans[col] - p:spans[col] + 1] = rows[:, col]
@@ -217,7 +217,7 @@ def test_kernel_is_the_triangle_recursion_bit_for_bit(rng, p):
         ts = kernel_params(rng, knots, p)
         spans = _find_spans(knots, p, ts)
         rows = triangle_recursion(knots, p, ts, spans)
-        assert np.array_equal(_basis_funs(knots, p, ts, spans), rows)
+        assert np.array_equal(_basis_levels(knots, p, ts, spans)[p], rows)
         want = sum((rows[k][:, None] * curve.control_points[spans - p + k] for k in range(1, p + 1)),
                    rows[0][:, None] * curve.control_points[spans - p])
         assert np.array_equal(eval_curve_many(curve, ts), want)
@@ -486,6 +486,16 @@ def test_fit_removes_duplicate_vertices():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5], [2.0, 0.0], [3.0, 1.0]])
     pc = fit_curve(pts)
     assert len(pc.control_points) == 4  # an interpolating fit has one per vertex
+
+
+@pytest.mark.parametrize("vertex", [[np.nan, np.nan], [np.nan, 0.0], [2.0, np.nan]])
+def test_fit_refuses_a_nan_vertex_rather_than_dropping_it(vertex):
+    # a NaN gap is not <= DEDUP_TOL, so dedupe keeps the vertex and the
+    # arclength parameterization refuses it
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], vertex, [2.0, 0.5], [3.0, 0.0], [4.0, 1.0]])
+    assert np.array_equal(dedupe_points(pts), pts, equal_nan=True)
+    with pytest.raises(DegenerateCurve):
+        fit_curve(pts)
 
 
 def dedupe_loop_oracle(points, tol=1e-9):

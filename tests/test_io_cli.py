@@ -106,7 +106,7 @@ def test_schema_mismatch_curve_vs_episode(tmp_path, rng):
     epath = tmp_path / "ep.json"
     swio.save_episodes([eps[0]], epath)
     path_single = tmp_path / "single.json"
-    path_single.write_text(json.dumps(swio.episode_to_dict(eps[0])))
+    swio.dump_json(swio.episode_to_dict(eps[0]), path_single)
     with pytest.raises(SchemaMismatch):
         swio.load_curve(path_single)
 
@@ -256,6 +256,47 @@ def test_dump_json_writes_the_oracles_bytes(tmp_path, rng):
         for obj, listed in ((arr, arr.tolist()), ({"x": [arr]}, {"x": [arr.tolist()]})):
             swio.dump_json(obj, path)
             assert path.read_text() == oracle_json(listed), arr
+
+
+def test_every_float_array_the_commands_write_takes_the_one_pass(tmp_path, monkeypatch, capsys):
+    # the file writers hand _encode float64 ndarrays, never lists of floats
+    seen, passed = [], []
+    encode, float_array = swio._encode, swio._float_array
+
+    def spy_encode(obj, pad):
+        seen.append(obj)
+        return encode(obj, pad)
+
+    def spy_float_array(arr, pad):
+        passed.append(arr)
+        return float_array(arr, pad)
+
+    monkeypatch.setattr(swio, "_encode", spy_encode)
+    monkeypatch.setattr(swio, "_float_array", spy_float_array)
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--seed", "3", "--noise-px", "0.5"]) == 0
+    assert main(["reconstruct", "--camera-a", str(out / "camera_a.json"),
+                 "--camera-b", str(out / "camera_b.json"),
+                 "--annotations", str(out / "annotation_a.json"), str(out / "annotation_b.json"),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert main(["relax", "--out", str(tmp_path / "relaxed.json"), "--n-segments", "30",
+                 "--tip-angle", "0.8", "--seed", "4", "--tip-target", "10.0,0.0,50.0"]) == 0
+    tips = synth_guidewire(12, 1.0, 0.6, 2)
+    swio.save_episodes([Episode(tip_positions=tips, forces=np.full_like(tips, 0.25),
+                                goal=tips[-1], success=True, max_steps=20),
+                        Episode(tip_positions=tips[:1], forces=np.zeros((0, 3)),
+                                goal=tips[0], success=False)], tmp_path / "episodes.json")
+    from stereowire.spherical import encode_chain
+    swio.save_chain(encode_chain(tips), tmp_path / "chain.json")
+    capsys.readouterr()
+    arrays = [obj for obj in seen if type(obj) is np.ndarray and obj.dtype == np.float64]
+    # P of two cameras, two annotations' points, knots and control points of
+    # three curves, tip, forces and goal of two episodes, the chain's tip and offsets
+    assert len(arrays) == 2 + 2 + 6 + 6 + 2
+    assert [id(a) for a in arrays] == [id(a) for a in passed]
+    float_lists = [obj for obj in seen if isinstance(obj, (list, tuple)) and obj
+                   and all(isinstance(v, float) for v in obj)]
+    assert float_lists == []
 
 
 # ------------------------------------------------------------- synth command

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -104,6 +106,27 @@ def test_pchip_rejects_non_monotone():
         pchip_fit([(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)])
     with pytest.raises(NonMonotoneInput):
         pchip_fit([(0.0, 0.0), (0.0, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("col", [0, 1])
+@pytest.mark.parametrize("row", [0, 1, 3])
+def test_pchip_rejects_non_finite_pairs(row, col, bad):
+    # a NaN compares false, so it would pass both order tests; an inf would
+    # give inf - inf in the secants
+    pairs = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 2.5)])
+    pairs[row, col] = bad
+    with pytest.raises(NonMonotoneInput, match="finite"):
+        pchip_fit(pairs)
+
+
+def test_pchip_scalar_gives_a_float64_of_the_array_value():
+    f = pchip_fit([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 2.5)])
+    probes = np.array([-1.0, 0.3, 1.5, 2.7, 4.0])
+    for t, want in zip(probes.tolist(), f(probes).tolist()):
+        got = f(t)
+        assert type(got) is np.float64 and got == want
+    assert f(probes.reshape(5, 1)).shape == (5, 1)
 
 
 # ------------------------------------------------------------- intersect_epiline
