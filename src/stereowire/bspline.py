@@ -9,6 +9,14 @@ at their last parameter. All evaluation, a single basis value included,
 is one batched kernel (span search and triangular recursion, The NURBS
 Book A2.2) of elementwise array operations, so a result does not depend
 on its batch.
+
+A fit solves its collocation system, four nonzeros per row, by block LU
+over row blocks of at most BLOCK = 64 rows: one dense solve per block,
+coupled to the next through FIT_DEGREE columns, so its time and memory
+grow linearly with the number of vertices. The collocation matrix is
+totally positive (de Boor 1976; de Boor & Pinkus 1977), so Gaussian
+elimination needs no pivoting across blocks; LAPACK pivots within each.
+A fit of at most 64 points is one block: one dense solve.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .errors import (
 
 DEDUP_TOL = 1e-9
 FIT_DEGREE = 3  # every fitted curve is a cubic
+BLOCK = 64  # most rows of one dense solve in a fit
 
 
 def clamped_uniform_knots(n_ctrl: int, degree: int) -> np.ndarray:
@@ -266,6 +275,51 @@ def parameterize_arclength(points) -> np.ndarray:
     return u
 
 
+def _solve_collocation(spans: np.ndarray, values: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """(ctrl, resid): the solution of B ctrl = pts and max |B ctrl - pts| over its rows.
+
+    Row i of the n x n collocation matrix B holds values[i] in its columns
+    spans[i] - K .. spans[i] (K = FIT_DEGREE). Block LU over ceil(n / BLOCK)
+    balanced row blocks, pivoting within a block only: block j's rows form one
+    strip [L | D | U] of the columns they reach, with K coupling columns on each
+    side. The forward sweep takes L into a Schur update of D's first K columns and
+    of f, then solves D against [U | f] for X and y; the back sweep sets
+    x_j = y_j - X_j x_(j+1)[:K]. resid multiplies each strip by its window of ctrl.
+    """
+    n, K = len(pts), FIT_DEGREE
+    count = -(-n // BLOCK)
+    ctrl, resid, blocks = np.empty_like(pts), np.empty_like(pts), []
+    for j in range(count):
+        a, b = j * n // count, (j + 1) * n // count  # balanced, at most BLOCK rows
+        lo, hi = max(a - K, 0), min(b + K, n)
+        # spans never decrease, so the strip holds its rows' columns unless the first
+        # reaches left of lo or the last right of hi - 1; that row's columns miss its
+        # own B_i(u_i), without which B is singular (Schoenberg-Whitney)
+        if spans[a] - K < lo or spans[b - 1] >= hi:
+            raise SolveFailure("singular interpolation system")
+        strip = np.zeros((b - a, hi - lo))
+        strip[np.arange(b - a)[:, None], spans[a:b, None] - (lo + K) + np.arange(K + 1)] = values[a:b]
+        D, f = strip[:, a - lo:b - lo], pts[a:b]
+        if a:  # Schur update by the block before: its X, and its y left in ctrl
+            L = strip[:, :K]
+            D = D.copy()
+            D[:, :K] -= L @ X[-K:]
+            f = f - L @ ctrl[a - K:a]
+        k = hi - b  # coupling columns to the next block, 0 after the last
+        try:
+            sol = np.linalg.solve(D, np.hstack([strip[:, b - lo:], f]) if k else f)
+        except np.linalg.LinAlgError as exc:
+            raise SolveFailure("singular interpolation system") from exc
+        X, ctrl[a:b] = sol[:, :k], sol[:, k:]
+        blocks.append((a, b, lo, hi, strip, X))
+    for a, b, _, _, _, X in blocks[-2::-1]:
+        ctrl[a:b] -= X @ ctrl[b:b + K]
+    for a, b, lo, hi, strip, _ in blocks:
+        np.matmul(strip, ctrl[lo:hi], out=resid[a:b])
+    resid -= pts
+    return ctrl, np.abs(resid).max()
+
+
 def fit_curve(polyline) -> BSplineCurve:
     """Interpolating cubic B-spline through a polyline at its arclength parameters.
 
@@ -273,8 +327,13 @@ def fit_curve(polyline) -> BSplineCurve:
     BSplineCurve of the input's dimension. Raises TooFewPoints below
     4 distinct vertices, DegenerateCurve for a non-finite vertex (kept by
     dedupe_points, refused by parameterize_arclength) and SolveFailure if the
-    collocation system cannot reproduce the vertices to
+    collocation system is singular or cannot reproduce the vertices to
     max(1e-9, 1e-12 max|vertex|).
+
+    The system is solved by block LU over balanced row blocks of at most
+    BLOCK rows (_solve_collocation), in time and memory linear in the
+    vertices; no pivoting across blocks is needed, because the collocation
+    matrix is totally positive. At most BLOCK vertices make one dense solve.
     """
     pts = dedupe_points(polyline)
     n = len(pts)
@@ -284,14 +343,8 @@ def fit_curve(polyline) -> BSplineCurve:
     u = parameterize_arclength(pts)
     knots = averaged_knots(u, degree)
     spans = _find_spans(knots, degree, u)
-    cols = spans[:, None] - degree + np.arange(degree + 1)
-    B = np.zeros((n, n))
-    B[np.arange(n)[:, None], cols] = _basis_levels(knots, degree, u, spans)[degree].T
-    try:
-        ctrl = np.linalg.solve(B, pts)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure("singular interpolation system") from exc
-    resid = np.abs(B @ ctrl - pts).max()
+    values = _basis_levels(knots, degree, u, spans)[degree].T
+    ctrl, resid = _solve_collocation(spans, values, pts)
     tol = max(1e-9, 1e-12 * np.abs(pts).max())
     if not resid <= tol:  # a NaN residual is refused too
         raise SolveFailure(f"interpolation residual {resid:.3g} exceeds {tol:.3g}")

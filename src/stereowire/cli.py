@@ -34,7 +34,8 @@ _ROT_Z_TO_Y = np.array([
     [0.0, -1.0, 0.0],
 ])  # rotate the rod's growth axis (+z) onto the rig's vertical (+y)
 
-# a size flag n sets an n x n float table (Frechet, collocation): 4096 keeps it at 128 MiB
+# evaluate's --samples n sets Frechet's n x n float table, which 4096 keeps at 128 MiB;
+# every other size flag sets a count whose arrays grow linearly with n
 MAX_SIZE = 4096
 
 

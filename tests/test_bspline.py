@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stereowire.bspline import (
+    BLOCK,
     BSplineCurve,
     _basis_levels,
     _find_spans,
@@ -495,6 +497,98 @@ def test_fit_refuses_a_nan_vertex_rather_than_dropping_it(vertex):
     pts = np.array([[0.0, 0.0], [1.0, 0.0], vertex, [2.0, 0.5], [3.0, 0.0], [4.0, 1.0]])
     assert np.array_equal(dedupe_points(pts), pts, equal_nan=True)
     with pytest.raises(DegenerateCurve):
+        fit_curve(pts)
+
+
+def dense_collocation(pts):
+    """The fit's n x n collocation matrix of distinct vertices, stored whole."""
+    n = len(pts)
+    u = parameterize_arclength(pts)
+    knots = averaged_knots(u, 3)
+    spans = _find_spans(knots, 3, u)
+    B = np.zeros((n, n))
+    B[np.arange(n)[:, None], spans[:, None] - 3 + np.arange(4)] = _basis_levels(knots, 3, u, spans)[3].T
+    return B
+
+
+def test_fit_of_one_block_is_the_dense_solve_bit_for_bit(rng):
+    for dim in (2, 3):
+        for n in range(4, BLOCK + 1):
+            pts = np.cumsum(rng.normal(size=(n, dim)), axis=0)
+            want = np.linalg.solve(dense_collocation(pts), pts)
+            assert np.array_equal(fit_curve(pts).control_points, want), (dim, n)
+
+
+def tiny_step_walk(rng, n):
+    """A 3D random walk with steps up to about 27 long and one of 1e-9 to 1e-3."""
+    steps = rng.normal(size=(n - 1, 3)) * 5
+    k = rng.integers(n - 1)
+    steps[k] *= 10 ** rng.uniform(-9, -3) / np.linalg.norm(steps[k])
+    return np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+
+
+@pytest.mark.parametrize("n", [65, 127, 128, 129, 192, 193, 257, 1000])
+def test_fit_of_many_blocks_solves_the_collocation_rows(rng, n):
+    for dim in (2, 3):
+        pts = np.cumsum(rng.normal(size=(n, dim)), axis=0)
+        B = dense_collocation(pts)
+        ctrl = fit_curve(pts).control_points
+        assert np.abs(B @ ctrl - pts).max() <= 1e-13 * np.abs(pts).max()
+        want = np.linalg.solve(B, pts)
+        assert np.abs(ctrl - want).max() <= 1e-12 * np.abs(want).max()
+    # one tiny step makes B ill-conditioned: the solutions part, the residuals do not
+    for _ in range(3):
+        pts = tiny_step_walk(rng, n)
+        B = dense_collocation(pts)
+        ctrl = fit_curve(pts).control_points
+        assert np.abs(B @ ctrl - pts).max() <= 1e-13 * np.abs(pts).max()
+
+
+def test_fit_solves_at_most_block_rows_at_once(rng, monkeypatch):
+    rows = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        rows.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    pts = np.cumsum(rng.normal(size=(1000, 3)), axis=0)
+    fit_curve(pts)
+    assert len(rows) == -(-1000 // BLOCK) and max(rows) <= BLOCK
+    assert sum(rows) == 1000
+
+
+def test_fit_of_the_largest_size_holds_no_n_by_n_table(rng):
+    pts = np.cumsum(rng.normal(size=(4096, 3)), axis=0)
+    tracemalloc.start()
+    try:
+        curve = fit_curve(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # a dense 4096 x 4096 matrix is 128 MiB
+    u = parameterize_arclength(pts)
+    assert np.abs(eval_curve_many(curve, u) - pts).max() <= 1e-9 * np.abs(pts).max()
+
+
+@pytest.mark.parametrize("n, repeats, head", [
+    (40, 2, 19), (40, 3, 18), (200, 2, 99), (200, 3, 98), (200, 3, 100),
+], ids=["one-block", "one-block-no-own-basis", "blocks", "blocks-no-own-basis",
+        "no-own-basis-at-a-block-edge"])
+def test_fit_of_repeated_parameters_is_singular(n, repeats, head):
+    # vertices 2e-9 apart at 1e8 along the polyline are distinct, but their
+    # arclength parameters round to one value: equal collocation rows. Three
+    # repeats (four equal parameters) also leave row head - 1 without its own
+    # basis function; at head = 100 that row ends a block, whose strip cannot
+    # hold its columns.
+    run = np.column_stack([np.full(repeats, 1e8), 2e-9 * np.arange(1, repeats + 1)])
+    rest = n - repeats - head
+    pts = np.vstack([np.column_stack([np.linspace(0.0, 1e8, head), np.zeros(head)]), run,
+                     np.column_stack([np.linspace(1e8 + 1e6, 2e8, rest), np.full(rest, 2e-9 * repeats)])])
+    assert len(dedupe_points(pts)) == n
+    assert np.count_nonzero(np.diff(parameterize_arclength(pts)) == 0) == repeats
+    with pytest.raises(SolveFailure, match="singular interpolation system"):
         fit_curve(pts)
 
 

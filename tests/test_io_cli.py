@@ -867,6 +867,15 @@ def test_size_cap_admits_its_bound():
     assert MAX_SIZE > 257  # the largest size the tests and the bench use
 
 
+def test_synth_runs_at_the_size_cap(tmp_path, capsys):
+    out = tmp_path / "w"
+    assert main(["synth", "--out", str(out), "--annotation-points", str(MAX_SIZE),
+                 "--n-segments", str(MAX_SIZE)]) == 0
+    assert capsys.readouterr().err == ""
+    # the truth curve interpolates every annotation sample: one control point each
+    assert len(swio.load_curve(out / "truth_curve.json").control_points) == MAX_SIZE
+
+
 @pytest.mark.parametrize("override,message", [
     (["--camera-a", "cam.json"], "both --camera-a and --camera-b or neither"),
     (["--camera-a", "cam.json", "--camera-b", "missing.json"], "missing.json"),
