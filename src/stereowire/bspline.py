@@ -111,13 +111,17 @@ class BSplineCurve:
         p = int(self.degree)
         if p < 0:
             raise ValueError("degree must be nonnegative")
-        if knots.ndim != 1 or np.any(np.diff(knots) < 0):
+        # compared, not differenced: a knot difference may overflow until the width is checked
+        if knots.ndim != 1 or np.any(knots[1:] < knots[:-1]):
             raise ValueError("knots must be a nondecreasing 1-D array")
         if knots.size != cp.shape[0] + p + 1:
             raise ValueError(
                 f"{cp.shape[0]} control points incompatible with knot count "
                 f"{knots.size} at degree {p}"
             )
+        # Python floats: an overflowing width is inf without a warning
+        if not (np.isfinite(knots).all() and math.isfinite(float(knots[-1]) - float(knots[0]))):
+            raise ValueError("knots must be finite and span a finite width")
         if cp.shape[0] < p + 1:
             raise ValueError("need at least degree+1 control points")
         if not knots[p] < knots[-1 - p]:

@@ -50,7 +50,6 @@ def _validate(args) -> None:
         ("n_segments", lambda v: v >= 3, "--n-segments must be >= 3"),  # the cubic fit needs 4 points
         ("annotation_points", lambda v: v >= 4, "--annotation-points must be >= 4"),
         ("segment_length", lambda v: v > 0, "--segment-length must be positive"),
-        ("stiffness", lambda v: v > 0, "--stiffness must be positive"),
     )
     for name, ok, msg in checks:
         if hasattr(args, name) and not ok(getattr(args, name)):
@@ -155,8 +154,7 @@ def cmd_relax(args) -> int:
             raise ParseError("--tip-target must be finite")
 
     omega = rod.rest_curvature_field(args.n_segments, args.tip_angle, args.seed)
-    wire_rod = rod.straight_rod(args.n_segments, args.segment_length,
-                                args.stiffness, omega)
+    wire_rod = rod.straight_rod(args.n_segments, args.segment_length, omega)
     result = rod.relax(wire_rod, tip_target=tip_target)
     curve = fit_curve(result.rod.centerline()[::-1])  # store tip-first, as synth does
     io.save_curve(curve, args.out)
@@ -208,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment-length", type=float, default=2.0)
     p.add_argument("--n-segments", type=int, default=50)
     p.add_argument("--tip-angle", type=float, default=0.0)
-    p.add_argument("--stiffness", type=float, default=1.0)
     p.add_argument("--tip-target", help="pin the tip at 'x,y,z' (mm)")
     p.set_defaults(func=cmd_relax)
     return parser

@@ -3,12 +3,12 @@
 A rod is a chain of equal-length rigid segments: its base pose (the base
 anchor and the first segment's unit quaternion) and its joint rotation
 vectors, segment j+1 being segment j turned by exp(joints[j]); a segment
-points along its quaternion's rotation of +z. Bending energy is a quadratic
-penalty on the joints' deviation from the per-joint rest curvature, and
-relaxation minimises it over the joints with the base pose fixed: in closed
-form for a free rod, and by KKT steps on the three rows of an optional tip
-pin, with halving backtracking on an exact-penalty merit. Both run at unit
-stiffness: the stiffness scales the energy, not its minimiser.
+points along its quaternion's rotation of +z. Bending energy is
+sum_j (1/2) ||kappa_j - omega_j||^2, the joints' squared deviation from the
+per-joint rest curvature omega, and relaxation minimises it over the joints
+with the base pose fixed: in closed form for a free rod, and by KKT steps on
+the three rows of an optional tip pin, with halving backtracking on an
+exact-penalty merit.
 
 Twist is ignored: the rest curvature's component along the segment axis
 (+z in the segment frame) is zeroed at construction.
@@ -43,14 +43,13 @@ def rotvec_to_quat(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RodState:
-    """Rigid-segment rod: base pose, joint rotation vectors, bending stiffness
-    (energy per rad^2), and per-joint rest curvature."""
+    """Rigid-segment rod: base pose, joint rotation vectors and per-joint
+    rest curvature."""
 
     segment_length: float
     base: np.ndarray  # (3,) the base joint
     base_orientation: np.ndarray  # (4,) the first segment's quaternion, normalised here
     joints: np.ndarray  # (n_segments - 1, 3): segment j+1 is segment j turned by exp(joints[j])
-    stiffness: float
     rest_curvature: np.ndarray  # (n_segments - 1, 3), axial part zeroed
 
     def __post_init__(self):
@@ -76,14 +75,11 @@ class RodState:
         if not math.isfinite(float(self.segment_length) * n):
             raise RodOutOfRange(f"a rod of {n} segments of {self.segment_length:g} mm "
                                 "is longer than a float can hold")
-        if not self.stiffness > 0:
-            raise ValueError("stiffness must be positive")
         omega[:, 2] = 0.0  # twist ignored: axial rest component projected out
         object.__setattr__(self, "segment_length", float(self.segment_length))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "base_orientation", q0)
         object.__setattr__(self, "joints", kappa)
-        object.__setattr__(self, "stiffness", float(self.stiffness))
         object.__setattr__(self, "rest_curvature", omega)
 
     @property
@@ -97,18 +93,17 @@ class RodState:
         return pts + self.base
 
 
-def straight_rod(n_segments: int, segment_length: float, stiffness: float = 1.0,
-                 rest_curvature=None) -> RodState:
+def straight_rod(n_segments: int, segment_length: float, rest_curvature=None) -> RodState:
     """Rod with zero joints and identity base orientation (straight along +z)."""
     joints = np.zeros((n_segments - 1, 3))
     return RodState(segment_length, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), joints,
-                    stiffness, joints if rest_curvature is None else rest_curvature)
+                    joints if rest_curvature is None else rest_curvature)
 
 
 def bending_energy(rod: RodState) -> float:
-    """Total energy E * sum_j (1/2) ||kappa_j - omega_j||^2, summed as relax sums it."""
+    """Total energy sum_j (1/2) ||kappa_j - omega_j||^2, summed as relax sums it."""
     free = (rod.rest_curvature - rod.joints).ravel()
-    return rod.stiffness * (0.5 * float(free @ free))
+    return 0.5 * float(free @ free)
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +175,14 @@ def _tip_and_jacobian(q0, kappa, base, L):
 
 GRAD_TOL = 1e-8
 MAX_ITER = 10_000
-# sufficient-decrease fraction of the merit's slope, and the most halvings
-# one line search may take before the step counts as failed
-_ARMIJO = 1e-4
-_MAX_HALVINGS = 60
+_ARMIJO = 1e-4  # sufficient-decrease fraction of the merit's slope
 # a tip is summed from n chained rotations, so its rounding error is about
 # n^1.5 * L * eps; merit changes below _ROUNDING_ULPS times that are noise
 _ROUNDING_ULPS = 8.0
 
 
 def _kkt_step(kappa, q0, base, L, omega, target):
-    """Unit-stiffness energy, pin residual c, its Jacobian J and the KKT step
+    """Energy, pin residual c, its Jacobian J and the KKT step
     d = (omega - kappa) - J^T mu at kappa.
 
     mu solves J J^T mu = c + J (omega - kappa) by least squares, so the
@@ -220,8 +212,6 @@ def _check_reachable(rod: RodState, target: np.ndarray) -> None:
 def relax(rod: RodState, tip_target=None) -> RelaxResult:
     """Minimize bending energy over the joint rotation vectors, base pose fixed.
 
-    The stiffness E scales the energy, not its minimiser: the rod is relaxed
-    at unit stiffness, and E only scales the reported energy and grad_inf.
     A free rod relaxes in closed form to kappa = omega (0 iterations, energy
     0). A pinned tip, c = tip - target = 0, is met from the rod's joints by
     KKT steps of the energy (Hessian I) under the linearised pin, each a
@@ -229,11 +219,14 @@ def relax(rod: RodState, tip_target=None) -> RelaxResult:
     energy / rho + |c| falls by an Armijo fraction of its slope; rho grows
     as far as a step needs it to descend (N&W 18.36). A step too small for
     the merit to resolve through the tip's rounding counts if the next KKT
-    step is shorter. converged says whether the Lagrangian gradient at the
-    KKT multiplier (grad_inf / E = |d|_inf) fell below GRAD_TOL and the tip
-    residual in mm below max(GRAD_TOL, the tip's rounding) within MAX_ITER
-    steps. Raises UnreachableConstraint for a pin outside the reachable set,
-    and RodOutOfRange when J J^T, the start merit or the energy overflows.
+    step is shorter. A line search fails, and the solve stops, at its first
+    step that moves no joint (a zero step at once). converged says whether the
+    Lagrangian gradient at the KKT multiplier (grad_inf = |d|_inf) fell
+    below GRAD_TOL and the tip residual in mm below max(GRAD_TOL, the tip's
+    rounding) within MAX_ITER steps. Raises UnreachableConstraint for a pin
+    outside the reachable set, and RodOutOfRange when J J^T or the start
+    merit overflows; no step with a non-finite merit is taken, so the
+    energy stays finite.
 
     The returned rod holds the joints the solve ends on; energy is its
     bending_energy bit for bit. merits holds the merit at the start and
@@ -264,7 +257,7 @@ def relax(rod: RodState, tip_target=None) -> RelaxResult:
             raise RodOutOfRange("the rest curvature puts the pinned relax's energy scale "
                                 "out of float range")
         while True:
-            f, c, jac, d = state  # f is the unit-stiffness energy at kappa
+            f, c, jac, d = state  # f is the energy at kappa
             resid = float(np.linalg.norm(c))
             gi = float(np.abs(d).max())
             # the merit's slope along d is gd / rho - drop, where drop is the
@@ -279,25 +272,25 @@ def relax(rod: RodState, tip_target=None) -> RelaxResult:
                 break
             slope = min(0.0, gd / rho - drop)
             alpha = 1.0
-            for _ in range(_MAX_HALVINGS):
-                trial = kappa + alpha * d
+            trial = kappa + d
+            # a trial equal to kappa has kappa's merit and step, which the tests
+            # below reject; halving a finite step reaches one within ~2100 trials
+            while not np.array_equal(trial, kappa):
                 state = _kkt_step(trial, q0, rod.base, L, omega, target)
                 t_merit = state[0] / rho + float(np.linalg.norm(state[1]))
                 if (t_merit < merit + _ARMIJO * alpha * slope
                         or (t_merit <= merit + rounding and np.abs(state[3]).max() < gi)):
                     break
                 alpha *= 0.5
+                trial = kappa + alpha * d
             else:
                 break
             iters += 1
             kappa = trial
 
-    energy = rod.stiffness * f
-    if not math.isfinite(energy):
-        raise RodOutOfRange(f"stiffness {rod.stiffness:g} puts the energy out of float range")
-    return RelaxResult(rod=replace(rod, joints=kappa), energy=energy,
+    return RelaxResult(rod=replace(rod, joints=kappa), energy=f,
                        converged=gi < GRAD_TOL and resid < tip_tol, iterations=iters,
-                       grad_inf=rod.stiffness * gi, tip_residual=resid, merits=tuple(merits))
+                       grad_inf=gi, tip_residual=resid, merits=tuple(merits))
 
 
 def rest_curvature_field(n_segments: int, tip_angle: float, seed: int) -> np.ndarray:

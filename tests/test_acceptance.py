@@ -177,14 +177,14 @@ def test_criterion_6_rod_model():
         worst_rel = max(worst_rel, np.abs(jac - J_fd).max() / np.abs(J_fd).max())
     assert worst_rel < 1e-5
 
-    bent = RodState(1.5, np.zeros(3), random_unit_quat(rng), rng.normal(0, 0.3, (11, 3)), 1.0,
+    bent = RodState(1.5, np.zeros(3), random_unit_quat(rng), rng.normal(0, 0.3, (11, 3)),
                     np.zeros((11, 3)))
     res = relax(bent)
     assert res.energy < 1e-10
 
-    single = RodState(1.0, np.zeros(3), [1.0, 0.0, 0.0, 0.0], [[np.pi / 4, 0.0, 0.0]], 2.0,
+    single = RodState(1.0, np.zeros(3), [1.0, 0.0, 0.0, 0.0], [[np.pi / 4, 0.0, 0.0]],
                       np.zeros((1, 3)))
-    closed_form = np.pi ** 2 / 16.0
+    closed_form = np.pi ** 2 / 32.0
     assert abs(bending_energy(single) - closed_form) < 1e-12
     _report(6, "rod-model", f"tip Jacobian rel err {worst_rel:.2e}, relaxed energy "
             f"{res.energy:.2e}, single joint |dE| "

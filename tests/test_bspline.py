@@ -255,7 +255,11 @@ CUBIC_KNOTS = [0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0]  # 5 control points
     (4, CUBIC_KNOTS, 3, "4 control points incompatible with knot count 9 at degree 3"),
     (3, [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0], 3, "need at least degree\\+1 control points"),
     (5, [0.5] * 9, 3, "empty evaluation domain"),
-], ids=["negative-degree", "decreasing", "not-1d", "count-mismatch", "too-short", "empty-domain"])
+    (3, [0.0, 0.0, np.nan, 1.0, 1.0], 1, "finite"),  # no comparison with NaN fails
+    (2, [-1e308, -1e308, 1e308, 1e308], 1, "finite width"),  # the knot difference overflows
+], ids=["negative-degree", "decreasing", "not-1d", "count-mismatch", "too-short", "empty-domain",
+        "nan-knot", "wide-knots"])
+@pytest.mark.filterwarnings("error")
 def test_curve_refuses_knots_that_hold_no_curve(n_ctrl, knots, degree, message):
     with pytest.raises(ValueError, match=message):
         BSplineCurve(np.zeros((n_ctrl, 2)), knots, degree)
