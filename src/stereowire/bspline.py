@@ -220,10 +220,11 @@ def basis(i: int, p: int, t: float, knots) -> float:
     (relative) of the evaluation domain [t_p, t_(m-p)].
     """
     n = np.size(knots) - p - 1
-    curve = BSplineCurve(np.eye(max(n, 0)), knots, p)
+    # the (n, 1) column e_i, so the kernel's sum has one nonzero term and no n x n table
+    curve = BSplineCurve((np.arange(max(n, 0)) == i)[:, None].astype(float), knots, p)
     if not 0 <= i < n:
         raise IndexOutOfRange(f"basis index {i} outside 0..{n - 1}")
-    return float(eval_curve_many(curve, [t])[0, i])
+    return float(eval_curve_many(curve, [t])[0, 0])
 
 
 def dedupe_points(points: np.ndarray) -> np.ndarray:

@@ -80,8 +80,8 @@ class UnreachableConstraint(StereowireError):
 
 
 class CurvatureOverflow(StereowireError, ValueError):
-    """Rest curvature whose squared joint bends overflow a float, or whose
-    joint bend reaches pi, which folds a segment back onto the one before it."""
+    """Rest curvature whose joint bend is not below pi (or is NaN): a bend of
+    pi folds a segment back onto the one before it."""
 
 
 class RodOutOfRange(StereowireError, ValueError):

@@ -359,8 +359,6 @@ def save_episodes(episodes: list[Episode], path) -> None:
 def _episode_from_dict(obj: dict, what: str) -> Episode:
     _check_keys(obj, ("tip", "forces", "goal", "success"), ("max_steps",), what)
     tips = _numbers(obj["tip"], f"{what}: tip", (None, 3))
-    if tips.shape[0] < 1:
-        raise ParseError(f"{what}: tip must be an Nx3 list, N >= 1")
     forces = _rows(obj["forces"], f"{what}: forces", 3)
     goal = _numbers(obj["goal"], f"{what}: goal", (3,))
     if not isinstance(obj["success"], bool):

@@ -299,17 +299,16 @@ def rest_curvature_field(n_segments: int, tip_angle: float, seed: int) -> np.nda
     Two random in-plane harmonics weighted toward the distal end (angled-
     tip flavour), scaled so the largest per-joint bend is
     tip_angle / n_segments; the total turn never exceeds tip_angle. Raises
-    CurvatureOverflow when the squared bends can overflow a float, or when
-    that bend reaches pi, where a joint folds a segment back onto the one
-    before it.
+    CurvatureOverflow unless that bend is below pi, so for a NaN or infinite
+    tip angle too: a joint bend of pi folds a segment back onto the one
+    before it. A bend below pi keeps n_joints bend^2 below n_joints pi^2,
+    far from overflow.
     """
     if n_segments < 2:
         raise ValueError("need at least 2 segments")
     n_joints = n_segments - 1
     bend = abs(tip_angle) / n_segments  # the largest per-joint bend
-    if not math.isfinite(n_joints * bend * bend):
-        raise CurvatureOverflow(f"tip angle {tip_angle:g} rad: the squared joint bends overflow")
-    if bend >= math.pi:
+    if not bend < math.pi:
         raise CurvatureOverflow(f"tip angle {tip_angle:g} rad over {n_segments} segments: "
                                 f"a joint bend of {bend:g} rad is not below pi")
     omega = np.zeros((n_joints, 3))

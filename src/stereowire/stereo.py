@@ -8,15 +8,14 @@ a 3D cubic through them, and gates the result on the mean reprojection
 error (25 px over both views pooled). The reprojection residual is a
 point-to-curve distance: the exact per-span nearest point, searched only on
 the spans whose bounding box lies within the distance to the sample's own
-curve point C(u). The intersection and the residual read one span table per
-curve (BSplineCurve.power_spans: power form, Bezier points and boxes) and
-find their roots with one real-root finder: _real_roots isolates them by
-Descartes' rule of signs on Bernstein coefficients, recursing on the
-derivative, and _bracket_root refines each bracketed root by guarded Newton
-in Python floats. The residual's spans with one sign change, nearly all, are
-refined instead by _bracket_roots, every row in lockstep in numpy arrays by
-the same steps, bit for bit; the epilines' one or two spans per call, where
-numpy's per-call cost would exceed the loop's, stay in Python floats.
+curve point, which reconstruct_curve already holds. The intersection and the
+residual read one span table per curve (BSplineCurve.power_spans: power
+form, Bezier points and boxes) and find their roots with one real-root
+finder: _real_roots isolates them by Descartes' rule of signs on Bernstein
+coefficients, recursing on the derivative, and _bracket_root refines each
+bracketed root by guarded Newton in Python floats. The residual tests
+Descartes' one-root case for all its spans at once and hands those spans,
+nearly all, straight to _bracket_root.
 """
 
 from __future__ import annotations
@@ -151,44 +150,6 @@ def _bracket_root(coef: list[float], a: float, fa: float, b: float, fb: float) -
         if abs(newton - x) <= ulps or not a < x_new < b or abs(x_new - x) <= ulps:
             return x
         x = x_new
-
-
-def _bracket_roots(coef: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """_bracket_root on [0, 1] for every row of coef at once, bit for bit: fa and fb hold
-    each row's nonzero f(0) and f(1) of opposite signs.
-
-    The rows run in lockstep by the same Horner order, bracket and step rules, with
-    np.spacing(|x|) for math.ulp(x); each row leaves the batch at the step where
-    _bracket_root would return, and the batch runs until no row is left.
-    """
-    # negating a row negates f and f' exactly and leaves its steps as they are, so every
-    # row may start positive at 0, and the bracket's left end moves where f > 0
-    sign = np.where(fa < 0.0, -1.0, 1.0)
-    c, fa, fb = (coef * sign[:, None]).T.copy(), fa * sign, fb * sign
-    a, b = np.zeros(len(fa)), np.ones(len(fa))
-    x = a - fa * (b - a) / (fb - fa)
-    live, out = np.arange(len(fa)), np.empty(len(fa))
-    # a zero df steps to +-inf, which bisects as _bracket_root's step to inf does; 0 / 0
-    # steps to NaN, which bisects too, and its row stops on f == 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while live.size:
-            f, df = c[-1], np.zeros(live.size)
-            for ck in c[-2::-1]:
-                f, df = f * x + ck, df * x + f
-            moves_a = f > 0.0
-            a, b = np.where(moves_a, x, a), np.where(moves_a, b, x)
-            newton = x - f / df
-            x_new = np.where((a < newton) & (newton < b), newton, 0.5 * (a + b))
-            ulps = 2.0 * np.spacing(np.abs(x))
-            stop = ((f == 0.0) | (np.abs(newton - x) <= ulps) | ~((a < x_new) & (x_new < b))
-                    | (np.abs(x_new - x) <= ulps))
-            if np.count_nonzero(stop):
-                out[live[stop]] = x[stop]
-                go = ~stop
-                live, c, x, a, b = live[go], c[:, go], x_new[go], a[go], b[go]
-            else:
-                x = x_new
-    return out
 
 
 def _real_roots(coef: list[float], bern: list[float], tol: float) -> list[float]:
@@ -329,21 +290,24 @@ def triangulate_point(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
 # ---------------------------------------------------------------------------
 # point-to-curve distance (reprojection residual)
 
-def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray, params) -> np.ndarray:
-    """Distance from each point q to its nearest point on the curve, given a curve
-    parameter u per point (or one for all) whose C(u) bounds the search.
+def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray, near) -> np.ndarray:
+    """Distance from each point q to its nearest point on the curve, given a point
+    of the curve per q (or one for all) that bounds the search.
 
-    Exact per-span nearest point (The NURBS Book 6.1): C(u), a span end, or a
-    root of g(x) = C'(x).(C(x) - q), on the spans whose cached bounding box
-    (BSplineCurve.power_spans) lies within |q - C(u)| of q. Of these (point,
+    Each row of near must lie on the curve: it is a candidate nearest point, so
+    a row off the curve could give a distance below the true one. Exact per-span
+    nearest point (The NURBS Book 6.1): near, a span end, or a root of
+    g(x) = C'(x).(C(x) - q), on the spans whose cached bounding box
+    (BSplineCurve.power_spans) lies within |q - near| of q. Of these (point,
     span) pairs, those whose g has Bernstein coefficients on both sides of 0,
-    about one per point, are solved: _bracket_roots solves those with one sign
-    change and nonzero ends at once, _real_roots each other one.
+    about one per point, are solved: _bracket_root refines the root of those
+    with one sign change and nonzero ends on [0, 1], as _real_roots would, and
+    _real_roots isolates the roots of each other one.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     p = curve.degree
     _, _, bezier, coef, (low, high) = curve.power_spans
-    best = np.sum((points - eval_curve_many(curve, params)) ** 2, axis=1)
+    best = np.sum((points - near) ** 2, axis=1)
     # coordinates first and contiguous, so each sum over them adds whole slabs
     q = np.ascontiguousarray(points.T)[:, :, None]
     gap = np.maximum(np.maximum(low[:, None] - q, q - high[:, None]), 0.0)
@@ -359,14 +323,16 @@ def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray, params) ->
         bern = np.sum(g[:, None] * bernstein_matrix(2 * p - 1), axis=-1)
         cross = ((bern.min(axis=1) < 0.0) & (bern.max(axis=1) > 0.0)).nonzero()[0]
         g, bern = g[cross], bern[cross]
-        # Descartes' one-root case of _real_roots: nonzero ends, one sign change
+        # Descartes' one-root case of _real_roots (nonzero ends, one sign change),
+        # tested for every row at once: only the other rows pay its Python tests
         flip = np.where(bern[:, :1] < 0.0, -bern, bern)
         once = ((flip[:, 0] > 0.0) & (flip[:, -1] < 0.0)
                 & ~np.any(np.logical_or.accumulate(flip < 0.0, axis=1) & (flip > 0.0), axis=1))
+        brackets = zip(g[once].tolist(), bern[once, 0].tolist(), bern[once, -1].tolist())
         roots = [_real_roots(a, b, 0.0) for a, b in zip(g[~once].tolist(), bern[~once].tolist())]
         rows = np.concatenate([cross[once], np.repeat(cross[~once], [len(xs) for xs in roots])])
-        x = np.concatenate([_bracket_roots(g[once], bern[once, 0], bern[once, -1]),
-                            [x for xs in roots for x in xs]])[:, None]
+        x = np.array([*(_bracket_root(a, 0.0, f0, 1.0, f1) for a, f0, f1 in brackets),
+                      *(x for xs in roots for x in xs)])[:, None]
         r = r[rows]
         diff = r[:, p]
         for k in range(p - 1, -1, -1):
@@ -406,8 +372,8 @@ def reconstruct_curve(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
     world = np.array([triangulate_point(cam_a, cam_b, xa, xb) for xa, xb in zip(pts_a, pts_b)])
     curve3d = fit_curve(world)
 
-    err_a = point_to_curve_distances(curve_a, project_many(cam_a, world), u_as)
-    err_b = point_to_curve_distances(curve_b, project_many(cam_b, world), u_bs)
+    err_a = point_to_curve_distances(curve_a, project_many(cam_a, world), pts_a)
+    err_b = point_to_curve_distances(curve_b, project_many(cam_b, world), pts_b)
     per_point = np.column_stack([err_a, err_b])
     mean_reproj = float(per_point.mean())
     return ReconstructionReport(

@@ -160,6 +160,34 @@ def test_basis_out_of_domain_raises_like_every_evaluator():
     assert basis(5, 3, 1.0 + 1e-12, knots) == 1.0
 
 
+def test_too_few_control_points_vertices_or_samples_are_refused():
+    with pytest.raises(ValueError, match="need at least degree"):
+        clamped_uniform_knots(3, 3)
+    assert dedupe_points(np.zeros((0, 3))).shape == (0, 3)  # nothing to drop
+    with pytest.raises(DegenerateCurve, match="at least two points"):
+        parameterize_arclength([[1.0, 2.0]])
+    with pytest.raises(ValueError, match="n >= 2"):
+        sample_uniform(BSplineCurve(np.eye(4, 2), clamped_uniform_knots(4, 3), 3), 1)
+
+
+def test_basis_is_a_column_of_the_kernel_without_an_n_by_n_table(rng):
+    for _ in range(20):  # bit for bit the identity curve's row
+        knots, p = random_clamped_knots(rng)
+        n = n_ctrl(knots, p)
+        t = rng.uniform(knots[p], knots[-1 - p])
+        row = eval_curve_many(BSplineCurve(np.eye(n), knots, p), [t])[0]
+        assert [basis(i, p, t, knots) for i in range(n)] == row.tolist()
+    knots = clamped_uniform_knots(4096, 3)
+    tracemalloc.start()
+    try:
+        value = basis(2048, 3, 0.5, knots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # an identity of 4096 x 4096 floats is 128 MiB
+    assert abs(value - basis_table_oracle(knots, 3, 0.5)[2048]) < 1e-14 and value > 0.0
+
+
 def test_basis_partition_of_unity(rng):
     knots = clamped_uniform_knots(9, 3)
     for t in rng.uniform(0.0, 1.0, 200):

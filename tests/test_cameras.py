@@ -13,6 +13,7 @@ from stereowire.cameras import (
 )
 from stereowire.errors import (
     CoincidentCenters,
+    DegenerateConfiguration,
     DegenerateProjection,
     InsufficientPoints,
     RankDeficient,
@@ -131,6 +132,12 @@ def test_rank_deficient_rejected():
     P[0, 0] = P[1, 1] = 1.0
     with pytest.raises(RankDeficient):
         ProjectiveCamera(P, (10, 10))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 4), (4, 3), (12,)])
+def test_a_matrix_that_is_not_3x4_is_refused(shape):
+    with pytest.raises(ValueError, match="must be 3x4"):
+        ProjectiveCamera(np.ones(shape), (10, 10))
 
 
 # ---------------------------------------------------------------- skew
@@ -304,12 +311,16 @@ def test_dlt_insufficient_points(rng):
 
 
 def test_dlt_coplanar_points_degenerate(rng):
-    from stereowire.errors import DegenerateConfiguration
     cam = random_camera(rng)
     X = rng.uniform(-150, 150, (10, 3))
     X[:, 2] = 40.0  # all world points on one plane
     with pytest.raises(DegenerateConfiguration):
         calibrate_dlt(*_correspondences(cam, X))
+
+
+def test_dlt_coincident_pixels_degenerate(rng):
+    with pytest.raises(DegenerateConfiguration, match="coincident"):
+        calibrate_dlt(rng.uniform(-150, 150, (6, 3)), np.full((6, 2), 512.0))
 
 
 @pytest.mark.parametrize("case,message", [

@@ -626,17 +626,28 @@ def test_evaluate_episode_single_step(tmp_path, capsys):
     (["empty.json"], "empty episode list"),
     (["far.json"], "not finite"),  # the path length overflows
     (["strong.json"], "not finite"),  # the force magnitude overflows
-], ids=["three-files", "success-not-boolean", "empty-episode-list", "huge-path", "huge-force"])
+    (["no-tip.json"], "tip: expected Nx3 numbers, got shape (0,)"),
+    (["short-forces.json"], "forces must be empty or match the tip track length"),
+    (["c1.json", "c.json"], "control points must be 2D or 3D"),
+    (["c.json", "c4.json"], "control points must be 2D or 3D"),
+], ids=["three-files", "success-not-boolean", "empty-episode-list", "huge-path", "huge-force",
+        "no-tip", "short-forces", "1d-curve", "4d-curve"])
 def test_evaluate_refusals_name_the_cause(tmp_path, capsys, monkeypatch, files, message):
     monkeypatch.chdir(tmp_path)
     ep = {"tip": [[0.0, 0.0, 0.0]], "forces": [], "goal": [1.0, 0.0, 0.0], "success": "yes"}
     Path("yes.json").write_text(json.dumps([ep]))
+    Path("no-tip.json").write_text(json.dumps({**ep, "tip": [], "success": True}))
+    short = {**ep, "tip": [[0.0] * 3] * 2, "forces": [[0.0] * 3], "success": True}
+    Path("short-forces.json").write_text(json.dumps(short))
     far = {**ep, "tip": [[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]], "success": True}
     Path("far.json").write_text(json.dumps([far]))
     strong = {**far, "tip": np.eye(2, 3).tolist(), "forces": [[1e200, 1e200, 0.0], [0.0] * 3]}
     Path("strong.json").write_text(json.dumps([strong]))
     Path("empty.json").write_text("[]")
     swio.save_curve(fit_curve(np.eye(4, 3)), "c.json")
+    for dim in (1, 4):
+        curve = {**json.loads(Path("c.json").read_text()), "control_points": np.eye(4, dim).tolist()}
+        Path(f"c{dim}.json").write_text(json.dumps(curve))
     assert main(["evaluate", *files]) == 1
     captured = capsys.readouterr()
     err = captured.err.strip()
@@ -785,7 +796,7 @@ def test_large_wires_are_fitted(argv, capsys, tmp_path, monkeypatch):
     (["relax", "--out", "c.json", "--n-segments", "2"], "--n-segments must be >= 3"),
     (["relax", "--out", "c.json", "--tip-angle=1e154", "--n-segments", "5",
       "--tip-target", "0,0,4"], "is not below pi"),
-    # a joint bend at or above pi wraps in the log-map curvature: refused, not relaxed
+    # a joint bend at or above pi folds a segment back onto the one before it: refused
     (["relax", "--out", "c.json", "--tip-angle", "30", "--n-segments", "5"],
      "a joint bend of 6 rad is not below pi"),
     (["synth", "--out", "w", "--tip-angle", "30", "--n-segments", "5"],

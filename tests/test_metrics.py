@@ -371,6 +371,15 @@ def test_empty_forces_counts_safe():
     assert em.path_length[0] == 0.0
 
 
+def test_an_empty_track_short_forces_or_an_empty_batch_are_refused():
+    with pytest.raises(ValueError, match="at least one time step"):
+        episode(np.zeros((0, 3)), True)
+    with pytest.raises(ValueError, match="match the tip track length"):
+        episode([[0, 0, 0], [1, 0, 0]], True, forces=[[0.1, 0, 0]])
+    with pytest.raises(ValueError, match="at least one episode"):
+        episode_metrics([])
+
+
 def episode_loop_oracle(episodes):
     """Safety, f_max and f_mean one episode at a time (0 forces: 1, 0, 0)."""
     rows = []

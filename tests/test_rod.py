@@ -82,8 +82,16 @@ def test_batched_helpers_equal_per_row_calls_bit_for_bit(rng):
     ("base", [0.0, np.nan, 0.0]),
     ("base", [np.inf, 0.0, 0.0]),
     ("rest_curvature", [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]),
+    ("base", np.zeros(2)),
+    ("base_orientation", np.zeros(3)),
+    ("joints", np.zeros((0, 3))),
+    ("joints", np.zeros((2, 2))),
+    ("rest_curvature", np.zeros((3, 3))),
+    ("segment_length", 0.0),
+    ("segment_length", np.nan),
 ], ids=["q0-zero", "q0-nan", "q0-inf", "joints-inf", "joints-nan", "base-nan", "base-inf",
-        "rest-nan"])
+        "rest-nan", "base-2", "q0-3", "no-joints", "joints-2", "rest-3-rows", "zero-length",
+        "nan-length"])
 def test_rod_state_refuses_a_bad_state(field, value):
     good = dict(segment_length=1.0, base=np.zeros(3), base_orientation=[1.0, 0.0, 0.0, 0.0],
                 joints=np.zeros((2, 3)), rest_curvature=np.zeros((2, 3)))
@@ -342,6 +350,11 @@ def test_rest_field_refuses_a_joint_bend_of_pi():
         rest_curvature_field(4, 4.0 * np.pi, seed=0)
     below = rest_curvature_field(4, 4.0 * np.nextafter(np.pi, 0.0), seed=0)
     assert np.linalg.norm(below, axis=1).max() < np.pi
+
+
+def test_rest_field_refuses_a_single_segment():
+    with pytest.raises(ValueError, match="at least 2 segments"):
+        rest_curvature_field(1, 0.5, seed=0)
 
 
 @pytest.mark.filterwarnings("error")

@@ -166,3 +166,16 @@ def test_resample_spacing_exact(rng):
     pts = resample_uniform_spacing(wavy_curve(rng), 1.3)
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     assert np.abs(seg - 1.3).max() < 1e-9
+
+
+def test_chains_refuse_too_few_points_or_a_step_that_is_not_positive():
+    for r in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="step radius must be positive"):
+            SphericalChain(tip=np.zeros(3), r=r, offsets=np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="at least two points"):
+        encode_chain([[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError, match="at least two points"):
+        resample_uniform_spacing([[1.0, 2.0, 3.0]])
+    for spacing in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="spacing must be positive"):
+            resample_uniform_spacing(np.eye(3), spacing)

@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 import stereowire as sw
+from stereowire import bspline
 from stereowire import io as swio
 from stereowire import stereo
 from stereowire.bspline import BSplineCurve, bernstein_matrix, eval_curve_many, fit_curve, sample_uniform
@@ -106,6 +107,8 @@ def test_pchip_rejects_non_monotone():
         pchip_fit([(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)])
     with pytest.raises(NonMonotoneInput):
         pchip_fit([(0.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(NonMonotoneInput, match="at least two pairs"):
+        pchip_fit([(0.0, 1.0)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -436,10 +439,7 @@ def one_change_rows(rng, p, count):
     return rows
 
 
-@pytest.mark.parametrize("offset", [0, 8])
-def test_lockstep_roots_are_the_scalar_roots(monkeypatch, offset):
-    # the rows rotated left by offset before batching, so each row's root is checked
-    # among other batch-mates: a row's result must not depend on its batch
+def test_bracket_root_stops_at_exact_roots_flat_steps_and_both_ends(monkeypatch):
     rng = np.random.default_rng(31)
     # an iterate where f == 0: Newton reaches the root 0.5 of (x - 0.5)(x^2 + 1),
     # whose Bernstein coefficients hold a 0, exactly
@@ -448,7 +448,6 @@ def test_lockstep_roots_are_the_scalar_roots(monkeypatch, offset):
     flat_step = np.array([-1.0, -2.0, -4.0, 8.0])
     # and one where x - f would stay in the bracket: at x = 0.5, f = -1/8, f' = 0
     flat_inside = np.array([-1.0, 5.5, -11.5, 8.0])
-    special = [(c, P.polyval(0.0, c), P.polyval(1.0, c)) for c in (exact_root, flat_step, flat_inside)]
     value_and_slope, visits = stereo._value_and_slope, []
 
     def spy(coef, x):
@@ -463,22 +462,10 @@ def test_lockstep_roots_are_the_scalar_roots(monkeypatch, offset):
         stereo._bracket_root(c.tolist(), 0.0, -1.0, 1.0, 1.0)
         assert visits[0] == (f, 0.0)
     monkeypatch.setattr(stereo, "_value_and_slope", value_and_slope)
-    total = 0
     for p in (1, 2, 3, 4, 5):
         rows = one_change_rows(rng, p, 440)
-        if p == 3:
-            rows[5:5] = special
-        turned = rows[offset:] + rows[:offset]
-        for batch in (turned[:3], turned[3:300], turned[300:]):  # one batch of three rows
-            coef = np.array([c for c, _, _ in batch])
-            fa, fb = np.array([f for _, f, _ in batch]), np.array([f for _, _, f in batch])
-            got = stereo._bracket_roots(coef, fa, fb)
-            want = [stereo._bracket_root(c.tolist(), 0.0, f0, 1.0, f1) for c, f0, f1 in batch]
-            assert got.tolist() == want and np.array_equal(np.signbit(got), np.signbit(want))
-            total += len(batch)
         roots = np.array([stereo._bracket_root(c.tolist(), 0.0, f0, 1.0, f1) for c, f0, f1 in rows])
         assert np.any(roots < 1e-300) and np.any(roots == 1.0 - 2.0 ** -53), p  # at both ends
-    assert total >= 2000
 
 
 def test_a_newton_step_that_rounds_to_no_move_stops(monkeypatch):
@@ -496,8 +483,6 @@ def test_a_newton_step_that_rounds_to_no_move_stops(monkeypatch):
     root = stereo._bracket_root(c, 0.0, -1.0, 1.0, 1.0)
     assert len(visits) <= 8
     assert abs(P.polyval(root, c)) < 1e-15 and 0.9196 < root < 0.9197
-    got = stereo._bracket_roots(np.array([c]), np.array([-1.0]), np.array([1.0]))
-    assert got.tolist() == [root] and not np.signbit(got[0])
 
 
 def synth_frame(out, seed, noise):
@@ -830,7 +815,7 @@ def test_point_to_curve_distance_is_zero_on_curve(rng):
     pts = np.cumsum(rng.normal(size=(25, 2)), axis=0) * 10
     pc = fit_curve(pts)
     _, on_curve = sample_uniform(pc, 17)
-    d = point_to_curve_distances(pc, on_curve, pc.domain[0])
+    d = point_to_curve_distances(pc, on_curve, eval_curve_many(pc, pc.domain[0]))
     assert d.max() < 1e-9
 
 
@@ -872,7 +857,7 @@ def test_point_to_curve_distance_matches_dense_oracle():
         beyond_ends = np.array([ends[0] - 0.5 * tangents[0], ends[1] + 0.25 * tangents[1]])
         far = near[:3] + rng.normal(0.0, 2000.0, (3, 2))
         queries = np.vstack([near, beyond_ends, far])
-        got = point_to_curve_distances(spline, queries, lo)
+        got = point_to_curve_distances(spline, queries, eval_curve_many(spline, lo))
         want = dense_distance_oracle(spline, queries)
         assert np.abs(got - want).max() < 1e-6
         # past an end along its tangent the end point is the nearest point
@@ -881,13 +866,14 @@ def test_point_to_curve_distance_matches_dense_oracle():
         knots = random_repeated_knots(rng, p)
         spline = BSplineCurve(rng.normal(size=(n_ctrl(knots, p), 2)) * 50, knots, p)
         queries = rng.normal(size=(12, 2)) * 60
-        got = point_to_curve_distances(spline, queries, spline.domain[0])
+        got = point_to_curve_distances(spline, queries, eval_curve_many(spline, spline.domain[0]))
         assert np.abs(got - dense_distance_oracle(spline, queries)).max() < 1e-6, p
 
 
 def test_any_curve_parameter_bounds_the_residual_search():
-    # C(u) only narrows the spans searched: the domain start, random parameters
-    # and the nearest parameters themselves all give the oracle's distance
+    # C(u) only narrows the spans searched: the points at the domain start, at
+    # random parameters and at the nearest parameters themselves all give the
+    # oracle's distance
     rng = np.random.default_rng(12)
     splines = [fit_curve(np.cumsum(rng.normal(size=(20, 2)), axis=0) * 20)]
     for p in (1, 2, 3, 5):
@@ -898,10 +884,30 @@ def test_any_curve_parameter_bounds_the_residual_search():
         queries = rng.normal(size=(12, 2)) * 60 + spline.control_points.mean(axis=0)
         nearest, want = dense_nearest_oracle(spline, queries)
         for params in (np.full(12, lo), rng.uniform(lo, hi, 12), nearest):
-            got = point_to_curve_distances(spline, queries, params)
+            near = eval_curve_many(spline, params)
+            got = point_to_curve_distances(spline, queries, near)
             assert np.abs(got - want).max() < 1e-6
             # the bound is itself a candidate
-            assert np.all(got <= np.linalg.norm(queries - eval_curve_many(spline, params), axis=1))
+            assert np.all(got <= np.linalg.norm(queries - near, axis=1))
+
+
+def test_the_residual_evaluates_no_curve(monkeypatch):
+    # the search bound is the caller's own curve point, so a reconstruction
+    # evaluates each view once: view A's samples and view B's matched points
+    cam_a, cam_b, curve_a, curve_b = stereo_curves(helix_points())
+    near = eval_curve_many(curve_a, np.linspace(*curve_a.domain, 9))
+    evaluated = []
+
+    def spy(curve, ts):
+        evaluated.append(curve)
+        return eval_curve_many(curve, ts)
+
+    monkeypatch.setattr(stereo, "eval_curve_many", spy)
+    monkeypatch.setattr(bspline, "eval_curve_many", spy)
+    got = point_to_curve_distances(curve_a, near + 3.0, near)
+    assert evaluated == [] and np.all(got <= 3.0 * math.sqrt(2.0))
+    reconstruct_curve(cam_a, cam_b, curve_a, curve_b)
+    assert evaluated == [curve_a, curve_b]
 
 
 def test_residual_of_a_self_approaching_fit_is_the_nearest_point(tmp_path):
@@ -922,6 +928,7 @@ def test_residual_of_a_self_approaching_fit_is_the_nearest_point(tmp_path):
     for view, (cam, curve) in enumerate(((cam_a, curve_a), (cam_b, curve_b))):
         got = report.per_point_reproj_px[:, view]
         u = (u_as, u_bs)[view]
-        assert np.array_equal(got, point_to_curve_distances(curve, project_many(cam, world), u))
+        assert np.array_equal(got, point_to_curve_distances(curve, project_many(cam, world),
+                                                            eval_curve_many(curve, u)))
         want = dense_distance_oracle(curve, project_many(cam, world))
         assert np.abs(got - want).max() < 1e-6, view
