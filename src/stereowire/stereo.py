@@ -14,8 +14,8 @@ form, Bezier points and boxes) and find their roots with one real-root
 finder: _real_roots isolates them by Descartes' rule of signs on Bernstein
 coefficients, recursing on the derivative, and _bracket_root refines each
 bracketed root by guarded Newton in Python floats. The residual tests
-Descartes' one-root case for all its spans at once and hands those spans,
-nearly all, straight to _bracket_root.
+Descartes' one-root case for all its spans at once (_one_root_rows) and
+hands those spans, nearly all, straight to _bracket_root.
 """
 
 from __future__ import annotations
@@ -187,6 +187,14 @@ def _real_roots(coef: list[float], bern: list[float], tol: float) -> list[float]
     return roots
 
 
+def _one_root_rows(bern: np.ndarray) -> np.ndarray:
+    """Which rows of bern are in Descartes' one-root case of _real_roots at tol 0:
+    nonzero ends and one sign change, tested for every row at once."""
+    flip = np.where(bern[:, :1] < 0.0, -bern, bern)
+    return ((flip[:, 0] > 0.0) & (flip[:, -1] < 0.0)
+            & ~np.any(np.logical_or.accumulate(flip < 0.0, axis=1) & (flip > 0.0), axis=1))
+
+
 def intersect_epiline(curve_b: BSplineCurve, line) -> list[float]:
     """Parameters u_B where the epiline crosses the annotation spline, increasing.
 
@@ -323,11 +331,7 @@ def point_to_curve_distances(curve: BSplineCurve, points: np.ndarray, near) -> n
         bern = np.sum(g[:, None] * bernstein_matrix(2 * p - 1), axis=-1)
         cross = ((bern.min(axis=1) < 0.0) & (bern.max(axis=1) > 0.0)).nonzero()[0]
         g, bern = g[cross], bern[cross]
-        # Descartes' one-root case of _real_roots (nonzero ends, one sign change),
-        # tested for every row at once: only the other rows pay its Python tests
-        flip = np.where(bern[:, :1] < 0.0, -bern, bern)
-        once = ((flip[:, 0] > 0.0) & (flip[:, -1] < 0.0)
-                & ~np.any(np.logical_or.accumulate(flip < 0.0, axis=1) & (flip > 0.0), axis=1))
+        once = _one_root_rows(bern)  # only the other rows pay _real_roots' Python tests
         brackets = zip(g[once].tolist(), bern[once, 0].tolist(), bern[once, -1].tolist())
         roots = [_real_roots(a, b, 0.0) for a, b in zip(g[~once].tolist(), bern[~once].tolist())]
         rows = np.concatenate([cross[once], np.repeat(cross[~once], [len(xs) for xs in roots])])

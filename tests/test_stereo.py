@@ -439,7 +439,10 @@ def one_change_rows(rng, p, count):
     return rows
 
 
-def test_bracket_root_stops_at_exact_roots_flat_steps_and_both_ends(monkeypatch):
+@pytest.mark.parametrize("offset", [0, 8])
+def test_lockstep_roots_are_the_scalar_roots(monkeypatch, offset):
+    # the rows rotated left by offset before batching, so each row is tested
+    # among other batch-mates: a row's result must not depend on its batch
     rng = np.random.default_rng(31)
     # an iterate where f == 0: Newton reaches the root 0.5 of (x - 0.5)(x^2 + 1),
     # whose Bernstein coefficients hold a 0, exactly
@@ -448,6 +451,10 @@ def test_bracket_root_stops_at_exact_roots_flat_steps_and_both_ends(monkeypatch)
     flat_step = np.array([-1.0, -2.0, -4.0, 8.0])
     # and one where x - f would stay in the bracket: at x = 0.5, f = -1/8, f' = 0
     flat_inside = np.array([-1.0, 5.5, -11.5, 8.0])
+    # Bernstein coefficients 1, 0, 1, -1 and 1, -1, 0, -1: a 0 before or after the
+    # one sign change is no change
+    zero_before, zero_after = np.array([1.0, -3.0, 6.0, -5.0]), np.array([1.0, -6.0, 9.0, -5.0])
+    special = [exact_root, flat_step, flat_inside, zero_before, zero_after]
     value_and_slope, visits = stereo._value_and_slope, []
 
     def spy(coef, x):
@@ -462,10 +469,29 @@ def test_bracket_root_stops_at_exact_roots_flat_steps_and_both_ends(monkeypatch)
         stereo._bracket_root(c.tolist(), 0.0, -1.0, 1.0, 1.0)
         assert visits[0] == (f, 0.0)
     monkeypatch.setattr(stereo, "_value_and_slope", value_and_slope)
+    total = 0
     for p in (1, 2, 3, 4, 5):
         rows = one_change_rows(rng, p, 440)
         roots = np.array([stereo._bracket_root(c.tolist(), 0.0, f0, 1.0, f1) for c, f0, f1 in rows])
         assert np.any(roots < 1e-300) and np.any(roots == 1.0 - 2.0 ** -53), p  # at both ends
+        # the residual's batched Descartes test against _real_roots' scalar one, on the
+        # one-change rows and as many others, whose small integer coefficients give
+        # Bernstein coefficients of 0 at an end or inside
+        mixed = [c for c, _, _ in rows] + list(rng.integers(-2, 3, (440, p + 1)).astype(float))
+        mixed[5:5] = special if p == 3 else []
+        turned = mixed[offset:] + mixed[:offset]
+        for batch in (turned[:3], turned[3:300], turned[300:]):  # one batch of three rows
+            bern = np.sum(np.array(batch)[:, None] * bernstein_matrix(p), axis=-1)
+            got = stereo._one_root_rows(bern)
+            for c, b, once in zip(batch, bern.tolist(), got.tolist()):
+                signs = [x > 0.0 for x in b if x != 0.0]
+                changes = sum(s != t for s, t in zip(signs, signs[1:]))
+                assert once == (min(abs(b[0]), abs(b[-1])) > 0.0 and changes == 1)
+                if once:
+                    want = [stereo._bracket_root(c.tolist(), 0.0, b[0], 1.0, b[-1])]
+                    assert stereo._real_roots(c.tolist(), b, 0.0) == want
+            total += len(batch)
+    assert total >= 4000
 
 
 def test_a_newton_step_that_rounds_to_no_move_stops(monkeypatch):
