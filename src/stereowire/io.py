@@ -1,26 +1,22 @@
 """Strict JSON file schemas for cameras, curves, annotations, reports, episodes.
 
 Every loader rejects unknown fields by name. Every file is written as
-json.dumps(obj, indent=2) would lay it out, with each float written as the
-shortest repr of its 9-significant-digit rounding and a '.' decimal
-separator, so repeated runs produce byte-identical files regardless of
-locale.
+json.dumps(obj, indent=2) would lay it out, with each float, alone, in a list
+or in an ndarray, written as its '%.9g' token: 9 significant digits with a '.'
+decimal separator whatever the locale, so repeated runs produce
+byte-identical files. Every such token is a JSON number; an integral float
+loses its point ('0', '100', '-0') and reads back as a JSON integer, which
+every loader accepts where a float is meant. A non-finite value is refused.
 
 The writer formats each float array, a float64 ndarray of one or two
-dimensions, in one '%.9g' pass straight into a template of its final layout;
-a float list or tuple is encoded item by item to the same text. A '%.9g'
-token can differ from that repr only for a value near an integer (which
-takes in zero, subnormals and every value of about 1e8 and more) or not
-finite (_needs_repr); only an array holding such a value takes the repr
-repair of _float_tokens. A knot vector always does, since a clamped one
-starts at 0 and ends at 1, which '%.9g' writes as '0' and '1' where repr
-writes '0.0' and '1.0'.
+dimensions, in one '%' pass straight into a template of its final layout.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 from itertools import chain
 from pathlib import Path
@@ -31,7 +27,6 @@ from .bspline import BSplineCurve
 from .cameras import ProjectiveCamera
 from .errors import ParseError, SchemaMismatch, StereowireError
 from .metrics import Episode
-from .spherical import SphericalChain
 
 
 def format_float(x: float) -> float:
@@ -39,40 +34,14 @@ def format_float(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
-def _float_tokens(values: tuple) -> list[str]:
-    """JSON text of each float: the repr of its 9-significant-digit rounding.
-
-    One '%.9g' pass formats them all. A token with a '.' and no exponent is
-    already that repr: it is a normal number printed positionally by both,
-    and no two decimals of at most 15 significant digits round to the same
-    normal double, so repr finds no shorter digits. Any other token (100,
-    -0, 1e+12, a subnormal) goes through repr. Raises ValueError, as json
-    does, on a non-finite value.
-    """
-    text = "%.9g," * len(values) % values
-    if "n" in text:  # inf, nan
-        bad = next(t for t in text.split(",") if "n" in t)
-        raise ValueError(f"Out of range float values are not JSON compliant: {float(bad)!r}")
-    return [t if "." in t and "e" not in t else repr(float(t))
-            for t in text[:-1].split(",")]
-
-
-def _needs_repr(arr: np.ndarray) -> bool:
-    """Whether some value of arr may get a '%.9g' token other than its repr.
-
-    A normal value below 1e-4 prints in exponent form under both, and a value
-    that '%.9g' prints positionally with a digit after the point is its own
-    repr (_float_tokens), so their tokens agree. Every other finite value
-    (zero, a subnormal, a value of 1e8 or more, one that '%.9g' prints without
-    its point) lies within half a unit of its 9th significant digit of an
-    integer: within 0.5e-8 * |v|, or 0.5e-8 below 1. The 1e-8 bound below
-    flags those with a factor of two to spare. A value that is not finite is
-    flagged first, so inf - rint(inf) is never taken.
-    """
-    mag = np.abs(arr)
-    if not np.isfinite(mag).all():
-        return True
-    return not (np.abs(mag - np.rint(mag)) > 1e-8 * np.maximum(mag, 1.0)).all()
+def _finite(text: str) -> str:
+    """text, a float's or float array's '%.9g' tokens in their layout, unless
+    one of them is inf or nan, the only tokens holding an 'n': then the
+    ValueError json raises for a non-finite value."""
+    if "n" in text:
+        bad = re.search(r"-?(inf|nan)", text).group()
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad}")
+    return text
 
 
 def _key(key) -> str:
@@ -91,25 +60,20 @@ def _list(items: list[str], pad: str) -> str:
 
 def _float_array(arr: np.ndarray, pad: str) -> str:
     """A float array (a 1-D or 2-D float64 ndarray) in its final layout: one '%'
-    over a template of that layout, with a '%.9g' cell per value, or '%s' cells
-    taking the repaired tokens of _float_tokens when _needs_repr flags it."""
-    values = tuple(arr.ravel().tolist())
-    cell = "%.9g"
-    if _needs_repr(arr):
-        cell, values = "%s", tuple(_float_tokens(values))
-    row = cell if arr.ndim == 1 else _list([cell] * arr.shape[1], pad + "  ")
-    return _list([row] * arr.shape[0], pad) % values
+    over a template of that layout with a '%.9g' cell per value."""
+    row = "%.9g" if arr.ndim == 1 else _list(["%.9g"] * arr.shape[1], pad + "  ")
+    return _finite(_list([row] * arr.shape[0], pad) % tuple(arr.ravel().tolist()))
 
 
 def _encode(obj, pad: str) -> str:
     """obj as json.dumps(obj, indent=2) lays it out at the line prefix pad
-    (a newline and the enclosing indentation), floats by _float_tokens.
+    (a newline and the enclosing indentation), each float as its '%.9g' token.
 
     A 1-D or 2-D float64 ndarray takes _float_array's one pass; a list or
     tuple, of floats too, is encoded item by item.
     """
     if isinstance(obj, float):
-        return _float_tokens((obj,))[0]
+        return _finite("%.9g" % obj)
     if type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim in (1, 2):
         return _float_array(obj, pad)
     inner = pad + "  "
@@ -292,23 +256,6 @@ def load_annotation(path) -> tuple[int, str, np.ndarray]:
     if pts.shape[0] < 2:
         raise ParseError(f"annotation file {path}: points must be an Nx2 list, N >= 2")
     return frame, obj["camera"], pts
-
-
-# --- spherical chains ---
-
-def save_chain(chain: SphericalChain, path) -> None:
-    dump_json({"tip": chain.tip, "r": chain.r, "offsets": chain.offsets}, path)
-
-
-def load_chain(path) -> SphericalChain:
-    obj = _load(path)
-    _check_keys(obj, ("tip", "r", "offsets"), (), f"chain file {path}")
-    tip = _numbers(obj["tip"], f"chain file {path}: tip", (3,))
-    r = float(_numbers(obj["r"], f"chain file {path}: r"))
-    if not r > 0:
-        raise ParseError(f"chain file {path}: r must be a positive number")
-    offsets = _rows(obj["offsets"], f"chain file {path}: offsets", 2)
-    return SphericalChain(tip=tip, r=r, offsets=offsets)
 
 
 # --- reconstruction reports ---

@@ -88,7 +88,7 @@ class RodState:
 
     def centerline(self) -> np.ndarray:
         """(n_segments + 1, 3) joint positions from base to tip."""
-        dirs = _matrices(_orientations_from_joints(self.base_orientation, self.joints))[:, :, 2]
+        dirs = _axes(_orientations_from_joints(self.base_orientation, self.joints))
         pts = np.vstack([np.zeros(3), np.cumsum(self.segment_length * dirs, axis=0)])
         return pts + self.base
 
@@ -136,14 +136,20 @@ def _orientations_from_joints(q0: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
+def _axes(q: np.ndarray) -> np.ndarray:
+    """Batch segment axes R e_z, shape (n, 3): the third column of _matrices."""
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    return np.stack([2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)], axis=1)
+
+
 def _matrices(q: np.ndarray) -> np.ndarray:
-    """Batch rotation matrices, shape (n, 3, 3)."""
+    """Batch rotation matrices, shape (n, 3, 3), stacked column by column."""
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     return np.stack([
-        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=1),
-        np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=1),
-        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=1),
-    ], axis=1)
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)], axis=1),
+        np.stack([2 * (x * y - w * z), 1 - 2 * (x * x + z * z), 2 * (y * z + w * x)], axis=1),
+        _axes(q),
+    ], axis=2)
 
 
 def _right_jacobians(kappa: np.ndarray) -> np.ndarray:
@@ -201,7 +207,7 @@ def _check_reachable(rod: RodState, target: np.ndarray) -> None:
     # radius (n - 1) L about the first joint, and for n = 2 only its sphere;
     # hypot on Python floats measures a huge pin without overflow
     reach = (rod.n_segments - 1) * rod.segment_length
-    first = rod.base + rod.segment_length * _matrices(rod.base_orientation[None])[0, :, 2]
+    first = rod.base + rod.segment_length * _axes(rod.base_orientation[None])[0]
     dist = math.hypot(*(t - f for t, f in zip(target.tolist(), first.tolist())))
     if dist > reach + 1e-9 or (rod.n_segments == 2 and dist < reach - 1e-9):
         bound = "exactly" if rod.n_segments == 2 else "at most"

@@ -39,6 +39,11 @@ REPROJ_GATE_PX = 25.0
 # above the 9-significant-digit precision pixels are written with, so the
 # epiline of one view's end sample still meets the other view's end point
 ON_LINE_PX = 1e-5
+# annotation pixels are written with 9 significant digits, about 1e-6 px at
+# this rig's coordinates, so a residual is known no finer: each is rounded to
+# this resolution before the mean and the gate, and rounding noise below it
+# moves neither
+RESIDUAL_PX = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +358,7 @@ class ReconstructionReport:
     """Reconstructed 3D curve with its reprojection-gate verdict."""
 
     curve: BSplineCurve
-    per_point_reproj_px: np.ndarray  # (M, 2) columns err_A, err_B
+    per_point_reproj_px: np.ndarray  # (M, 2) columns err_A, err_B, rounded to RESIDUAL_PX
     mean_reproj_px: float
     accepted: bool
 
@@ -364,9 +369,9 @@ def reconstruct_curve(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
     """Match, triangulate, and fit a 3D cubic; gate on mean reprojection.
 
     The reprojection residual of each triangulated sample is its pixel
-    distance to the nearest point of the annotation spline in each view;
-    the acceptance gate compares the mean of both views' residuals pooled
-    against 25 px.
+    distance to the nearest point of the annotation spline in each view,
+    rounded to RESIDUAL_PX; the acceptance gate compares the mean of both
+    views' rounded residuals pooled against 25 px.
     """
     F = fundamental_matrix(cam_a, cam_b)
     match = match_curves(curve_a, curve_b, F, n_samples)
@@ -378,7 +383,7 @@ def reconstruct_curve(cam_a: ProjectiveCamera, cam_b: ProjectiveCamera,
 
     err_a = point_to_curve_distances(curve_a, project_many(cam_a, world), pts_a)
     err_b = point_to_curve_distances(curve_b, project_many(cam_b, world), pts_b)
-    per_point = np.column_stack([err_a, err_b])
+    per_point = np.rint(np.column_stack([err_a, err_b]) / RESIDUAL_PX) * RESIDUAL_PX
     mean_reproj = float(per_point.mean())
     return ReconstructionReport(
         curve=curve3d,

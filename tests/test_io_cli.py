@@ -112,53 +112,55 @@ def test_schema_mismatch_curve_vs_episode(tmp_path, rng):
         swio.load_curve(path_single)
 
 
-def test_chain_round_trip(tmp_path, rng):
-    from stereowire.spherical import SphericalChain, decode_chain
-    chain = SphericalChain(tip=rng.normal(size=3), r=2.0,
-                           offsets=np.column_stack([rng.uniform(0, np.pi, 8),
-                                                    rng.uniform(-np.pi, np.pi, 8)]))
-    path = tmp_path / "chain.json"
-    swio.save_chain(chain, path)
-    back = swio.load_chain(path)
-    assert back.r == 2.0
-    assert np.abs(decode_chain(back) - decode_chain(chain)).max() < 1e-7
-
-
-def test_chain_unknown_field(tmp_path):
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps({"tip": [0, 0, 0], "r": 1.0, "offsets": [],
-                                "spacing": 2}))
-    with pytest.raises(ParseError, match="spacing"):
-        swio.load_chain(path)
-
-
-@pytest.mark.parametrize("r", [0.0, -2.0])
-def test_chain_refuses_a_radius_that_is_not_positive(tmp_path, r):
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps({"tip": [0, 0, 0], "r": r, "offsets": []}))
-    with pytest.raises(ParseError, match="r must be a positive number"):
-        swio.load_chain(path)
-
-
 def test_float_formatting_nine_significant_digits():
     assert swio.format_float(np.pi) == float(f"{np.pi:.9g}")
     assert swio.format_float(0.1) == 0.1
     assert swio.format_float(123456789012.0) == 1.23456789e11
 
 
-def _round_floats(obj):
+def _tokens_in_place(obj, tokens):
+    """obj with each float, in lists, tuples and dict values, replaced by a
+    string naming its place in tokens, which collects each float's '%.9g'
+    token; dict keys are left to json's own key conversion."""
     if isinstance(obj, float):
-        return swio.format_float(obj)
+        tokens.append("%.9g" % obj)
+        return f"<float {len(tokens) - 1}>"
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: _tokens_in_place(v, tokens) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return [_tokens_in_place(v, tokens) for v in obj]
     return obj
 
 
 def oracle_json(obj) -> str:
-    """The writer's reference: round every float, then json's own layout."""
-    return json.dumps(_round_floats(obj), indent=2, allow_nan=False) + "\n"
+    """The writer's reference: json's own indent=2 layout, each float written
+    as its '%.9g' token."""
+    tokens = []
+    text = json.dumps(_tokens_in_place(obj, tokens), indent=2) + "\n"
+    return re.sub(r'"<float (\d+)>"', lambda m: tokens[int(m.group(1))], text)
+
+
+def _rounded(obj):
+    """obj as json.loads should read it back: each float at its 9-digit rounding."""
+    if isinstance(obj, float):
+        return swio.format_float(obj)
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+def assert_written_as_the_oracle(obj, path, listed=None):
+    """dump_json(obj) writes the oracle's text for listed (obj with its arrays
+    as lists), and json.loads of that text gives each float's 9-digit rounding,
+    an integer token counting when it equals the rounding."""
+    listed = obj if listed is None else listed
+    swio.dump_json(obj, path)
+    text = path.read_text()
+    assert text == oracle_json(listed), obj
+    if not isinstance(listed, dict) or all(isinstance(k, str) for k in listed):
+        assert json.loads(text) == _rounded(listed), obj
 
 
 EDGE_FLOATS = [
@@ -209,19 +211,12 @@ def _random_array(rng, shape):
 ARRAY_SHAPES = [(1,), (300,), (1, 1), (64, 2), (200, 3), (5, 7)]
 
 
-def _plain_array(rng, shape):
-    """Values of magnitude in [1e-4, 1e5), those above 1 at least 0.25 from an
-    integer: the writer formats such an array in one pass."""
-    mag = rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(-4, 5, shape)
-    mag = np.where(mag < 1.0, mag, np.floor(mag) + rng.uniform(0.25, 0.75, shape))
-    return rng.choice([-1.0, 1.0], shape) * mag
-
-
 def _switch_values():
-    """Floats on both sides of each bound at which the writer's one-pass test
-    flags a value: magnitudes 1e-4, 99999999 and 1e9; integers scaled by
-    1 +- 4.5e-9 (whose token may drop the point) and 1 +- 1e-9 (flagged),
-    or by 1 +- 2e-8 and 1 +- 1e-7 (not); -0.0 and subnormals."""
+    """Floats on both sides of each bound at which a '%.9g' token changes form:
+    magnitudes 1e-4 and 1e9 (exponent form below and from there) and
+    99999999; integers scaled by 1 +- 1e-9 and 1 +- 4.5e-9 (whose token may
+    drop the point) or by 1 +- 2e-8 and 1 +- 1e-7 (whose token keeps it);
+    -0.0 and subnormals."""
     bounds = [1e-4, 99999999.0, 1e9]
     near = [np.nextafter(b, to) for b in bounds for to in (0.0, np.inf)]
     ints = [1.0, 3.0, 7.0, 100.0, 12345.0, 1234567.0, 50000000.0]
@@ -237,17 +232,13 @@ def test_dump_json_writes_the_oracles_bytes(tmp_path, rng):
     objects += [{"values": _random_array(rng, shape).tolist()} for shape in ARRAY_SHAPES]
     objects += [EDGE_FLOATS, [[x, -x] for x in EDGE_FLOATS], {"P": [EDGE_FLOATS[:4]] * 3},
                 [[1.0, 2.0], [3.0]], [[], []], ([0.5, 2.0], (1.5, 2.5)),
-                {1.5: [2.0], 3: None, True: "x", None: -0.0}]
+                {1.5: [2.0], 3: None, True: "x", None: -0.0}, 0.0, -0.0, 123456789000.0]
     path = tmp_path / "x.json"
     for obj in objects:
-        swio.dump_json(obj, path)
-        assert path.read_text() == oracle_json(obj)
+        assert_written_as_the_oracle(obj, path)
     # float64 arrays, each written alone and nested two levels down
     switch = np.array(_switch_values())
-    plain = [_plain_array(rng, shape) for shape in ARRAY_SHAPES]
-    plain += [_plain_array(rng, (n, width)) for n in (1, 2, 40) for width in (1, 2, 3)]
-    assert not any(map(swio._needs_repr, plain))  # so these take the single pass
-    arrays = [_random_array(rng, shape) for shape in ARRAY_SHAPES] + plain
+    arrays = [_random_array(rng, shape) for shape in ARRAY_SHAPES]
     arrays += [np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0)), np.array(EDGE_FLOATS),
                np.array([[x, -x] for x in EDGE_FLOATS]), np.array([EDGE_FLOATS[:4]] * 3),
                switch, switch.reshape(-1, 2), switch.reshape(-1, 1)]
@@ -255,8 +246,10 @@ def test_dump_json_writes_the_oracles_bytes(tmp_path, rng):
     arrays += [np.array([[0.5, x], [x, 0.25]]) for x in switch]
     for arr in arrays:
         for obj, listed in ((arr, arr.tolist()), ({"x": [arr]}, {"x": [arr.tolist()]})):
-            swio.dump_json(obj, path)
-            assert path.read_text() == oracle_json(listed), arr
+            assert_written_as_the_oracle(obj, path, listed)
+    # the tokens stdout prints: an integral float loses its point
+    swio.dump_json([0.0, 1.0, 123456789000.0, 0.25], path)
+    assert path.read_text() == "[\n  0,\n  1,\n  1.23456789e+11,\n  0.25\n]\n"
 
 
 def test_every_float_array_the_commands_write_takes_the_one_pass(tmp_path, monkeypatch, capsys):
@@ -287,13 +280,11 @@ def test_every_float_array_the_commands_write_takes_the_one_pass(tmp_path, monke
                                 goal=tips[-1], success=True, max_steps=20),
                         Episode(tip_positions=tips[:1], forces=np.zeros((0, 3)),
                                 goal=tips[0], success=False)], tmp_path / "episodes.json")
-    from stereowire.spherical import encode_chain
-    swio.save_chain(encode_chain(tips), tmp_path / "chain.json")
     capsys.readouterr()
     arrays = [obj for obj in seen if type(obj) is np.ndarray and obj.dtype == np.float64]
     # P of two cameras, two annotations' points, knots and control points of
-    # three curves, tip, forces and goal of two episodes, the chain's tip and offsets
-    assert len(arrays) == 2 + 2 + 6 + 6 + 2
+    # three curves, tip, forces and goal of two episodes
+    assert len(arrays) == 2 + 2 + 6 + 6
     assert [id(a) for a in arrays] == [id(a) for a in passed]
     float_lists = [obj for obj in seen if isinstance(obj, (list, tuple)) and obj
                    and all(isinstance(v, float) for v in obj)]
@@ -760,7 +751,7 @@ def test_relax_curve_is_written_tip_first(tmp_path, capsys, monkeypatch):
     ["synth", "--out", "w", "--noise-px", "inf"],
     ["synth", "--out", "w", "--noise-px", "1e308"],  # finite, but the noisy pixels are not
     ["relax", "--out", "c.json", "--tip-angle", "inf"],
-    ["synth", "--out", "w", "--tip-angle", "1e200"],  # finite, but its joint angles overflow
+    ["synth", "--out", "w", "--tip-angle", "1e200"],  # finite, but its joint bend is not below pi
     ["relax", "--out", "c.json", "--stiffness", "inf"],
     ["relax", "--out", "c.json", "--segment-length", "inf"],
     ["relax", "--out", "c.json", "--segment-length", "1e308"],  # finite, but the rod is not
@@ -912,7 +903,8 @@ def test_dump_json_refuses_non_finite_values(tmp_path):
     swio.save_curve(fit_curve(np.random.default_rng(0).normal(size=(12, 3))), path)
     before = path.read_bytes()
     refused = [{"x": [float("nan")]}, np.array([0.5, np.nan]),
-               np.array([[0.5, 2.5], [np.inf, 1.5]]), {"control_points": np.array([[1.5, -np.inf]])}]
+               np.array([[0.5, 2.5], [np.inf, 1.5]]), {"control_points": np.array([[1.5, -np.inf]])},
+               {"mean_reproj_px": float("-inf")}, np.float64("nan")]
     for obj in refused:
         with pytest.raises(StereowireError, match="not JSON compliant"):
             swio.dump_json(obj, path)

@@ -60,6 +60,19 @@ def test_centerline_chains_the_joints(rng):
             assert np.abs(d - R[:, 2]).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 30, 100, 400])
+def test_centerline_keeps_the_bits_of_the_full_rotation_matrices(rng, n):
+    # the segment axis has one definition; the centerline it gives is the
+    # one the third columns of the full, row-by-row matrices gave, bit for bit
+    for _ in range(5):
+        rod = random_rod(rng, n=n, L=float(rng.uniform(0.5, 3.0)))
+        q = rod_module._orientations_from_joints(rod.base_orientation, rod.joints)
+        full = np.array([quat_to_rotmat(row) for row in q])
+        assert rod_module._matrices(q).tobytes() == full.tobytes()
+        steps = np.cumsum(rod.segment_length * full[:, :, 2], axis=0)
+        assert rod.centerline().tobytes() == (np.vstack([np.zeros(3), steps]) + rod.base).tobytes()
+
+
 def test_batched_helpers_equal_per_row_calls_bit_for_bit(rng):
     # one batch of zero, sub-1e-12, ordinary, near-pi and past-pi rows; the
     # last exponentiates to w < 0

@@ -16,6 +16,7 @@ from stereowire.errors import (CoincidentCenters, NoMatches, NonMonotoneInput, P
 from stereowire.rig import default_rig
 from stereowire.stereo import (
     ON_LINE_PX,
+    RESIDUAL_PX,
     _real_roots,
     intersect_epiline,
     match_curves,
@@ -954,7 +955,30 @@ def test_residual_of_a_self_approaching_fit_is_the_nearest_point(tmp_path):
     for view, (cam, curve) in enumerate(((cam_a, curve_a), (cam_b, curve_b))):
         got = report.per_point_reproj_px[:, view]
         u = (u_as, u_bs)[view]
-        assert np.array_equal(got, point_to_curve_distances(curve, project_many(cam, world),
-                                                            eval_curve_many(curve, u)))
+        exact = point_to_curve_distances(curve, project_many(cam, world), eval_curve_many(curve, u))
+        assert np.array_equal(got, np.rint(exact / RESIDUAL_PX) * RESIDUAL_PX)
         want = dense_distance_oracle(curve, project_many(cam, world))
         assert np.abs(got - want).max() < 1e-6, view
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_residuals_a_few_ulps_apart_give_the_same_mean(tmp_path, monkeypatch, seed):
+    # each residual is rounded to RESIDUAL_PX before the mean, so moving every
+    # residual by 4 ulps, all up, all down or each its own way, leaves the
+    # bits of the mean and the gate's verdict as they are
+    frame = synth_frame(tmp_path, seed, 1.0)
+    want = reconstruct_curve(*frame)
+    exact = stereo.point_to_curve_distances
+    rng = np.random.default_rng(seed)
+    for way in ("up", "down", "mixed"):
+        def moved(curve, queries, near):
+            d = exact(curve, queries, near)
+            up = np.full(d.shape, way == "up") if way != "mixed" else rng.random(d.shape) < 0.5
+            for _ in range(4):  # a distance is not moved below 0
+                d = np.nextafter(d, np.where(up, np.inf, 0.0))
+            return d
+
+        monkeypatch.setattr(stereo, "point_to_curve_distances", moved)
+        got = reconstruct_curve(*frame)
+        assert got.mean_reproj_px.hex() == want.mean_reproj_px.hex(), way
+        assert got.accepted == want.accepted
